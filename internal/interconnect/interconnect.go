@@ -1,9 +1,11 @@
-// Package interconnect models the switched inter-GPU fabric: GPUs hang off
-// PCIe switches, every port serializes traffic at link bandwidth, hops add
-// latency, and a credit loop bounds the bytes in flight toward any
-// destination (PCIe's receiver-buffer flow control). The evaluated systems
-// are 4 GPUs under one switch (§V) and 16 GPUs under four switches joined
-// by trunk links (§VI-B's scaling study).
+// Package interconnect models the switched inter-GPU fabric as a graph
+// of store-and-forward hops: every message follows its route's directed
+// edges, serializing on each edge's link at that edge's bandwidth and
+// paying its latency, under a credit loop that bounds the bytes in flight
+// toward any destination (PCIe's receiver-buffer flow control). Without a
+// caller-supplied topology the graph is the paper's PCIe fabric
+// (topo.PCIe): 4 GPUs under one switch (§V), or 16 GPUs under four
+// switches joined by trunk links (§VI-B's scaling study).
 package interconnect
 
 import (
@@ -23,12 +25,9 @@ type Config struct {
 	// Zero or negative means an infinite-bandwidth fabric (transfers
 	// serialize in zero time), used for the paper's opportunity bound.
 	Bandwidth float64
-	// GPUsPerSwitch sets the leaf switch radix (default 4).
-	GPUsPerSwitch int
-	// SwitchLatency is added per switch traversal.
-	SwitchLatency des.Time
-	// PropagationLatency is added per link traversal.
-	PropagationLatency des.Time
+	// HopLatency is the switch plus propagation latency of one hop: a
+	// same-switch message pays it once, a cross-switch message twice.
+	HopLatency des.Time
 	// CreditBytes bounds bytes in flight toward one destination port
 	// (receiver buffer size). Zero selects DefaultCreditBytes (256KB).
 	// Positive values below one credit unit (64B) are rejected: they
@@ -38,14 +37,11 @@ type Config struct {
 	// replay protocol. The zero value models ideal, error-free links and
 	// keeps the fault path entirely out of the event stream.
 	Faults faults.Config
-	// Topology, when non-nil, replaces the single-switch fabric with a
-	// hierarchical multi-hop graph: messages follow its static route
-	// tables, store-and-forwarding through per-edge servers with each
-	// edge's own bandwidth, latency and credit loop (see topo.go). Nil
-	// keeps the legacy flat path bit-identical to builds without the
-	// topology model. Bandwidth/GPUsPerSwitch/SwitchLatency/
-	// PropagationLatency then only affect the fault protocol's timers;
-	// the graph's per-edge parameters govern all transfer costs.
+	// Topology, when non-nil, replaces the PCIe fabric built from
+	// NumGPUs/Bandwidth/HopLatency with a hierarchical multi-hop graph
+	// whose per-edge bandwidth, latency and credit loop govern all
+	// transfer costs. Only a supplied topology exposes its edges
+	// (NumEdges, the edge counters, HopObserver callbacks).
 	Topology *topo.Graph
 }
 
@@ -55,16 +51,14 @@ type Config struct {
 // halves effective throughput.
 const DefaultCreditBytes = 256 << 10
 
-// DefaultConfig returns a 4-GPU PCIe-4.0-class fabric: 32GB/s links,
-// ~150ns switch latency, one leaf switch.
+// DefaultConfig returns a PCIe-4.0-class fabric: 32GB/s links and a
+// 160ns hop (150ns switch + 10ns propagation).
 func DefaultConfig(numGPUs int, bandwidth float64) Config {
 	return Config{
-		NumGPUs:            numGPUs,
-		Bandwidth:          bandwidth,
-		GPUsPerSwitch:      4,
-		SwitchLatency:      150 * des.Nanosecond,
-		PropagationLatency: 10 * des.Nanosecond,
-		CreditBytes:        DefaultCreditBytes,
+		NumGPUs:     numGPUs,
+		Bandwidth:   bandwidth,
+		HopLatency:  160 * des.Nanosecond,
+		CreditBytes: DefaultCreditBytes,
 	}
 }
 
@@ -72,9 +66,6 @@ func DefaultConfig(numGPUs int, bandwidth float64) Config {
 func (c Config) Validate() error {
 	if c.NumGPUs < 2 {
 		return fmt.Errorf("interconnect: need ≥2 GPUs, got %d", c.NumGPUs)
-	}
-	if c.GPUsPerSwitch <= 0 {
-		return fmt.Errorf("interconnect: GPUs per switch must be positive")
 	}
 	if c.CreditBytes > 0 && c.CreditBytes < creditUnit {
 		return fmt.Errorf("interconnect: CreditBytes %d below one %dB credit unit would yield a zero-token pool and deadlock",
@@ -98,10 +89,7 @@ const creditUnit = 64
 type Network struct {
 	cfg     Config
 	sched   *des.Scheduler
-	egress  []*des.Server // per-GPU upstream port
-	ingress []*des.Server // per-GPU downstream port
 	credits []*des.TokenPool
-	trunks  map[[2]int]*des.Server // (lo,hi) switch pair → trunk link
 
 	// Stats
 	PacketsSent uint64
@@ -134,84 +122,19 @@ type Network struct {
 	// (see observer.go).
 	obs Observer
 
-	// xfree recycles ideal-path transfer pipelines (see xfer): Send is
-	// the fabric's hottest entry point, and building its five-stage
-	// closure chain per packet dominated allocation profiles.
-	xfree []*xfer
-
-	// Multi-hop state, populated only when cfg.Topology is set (see
-	// topo.go): one server and one credit pool per directed edge, flat
-	// per-edge byte/packet counters, the recycled hop pipelines, and the
-	// optional per-hop observer.
-	edgeSrv     []*des.Server
+	// Hop state (see hop.go): the graph every message is routed over
+	// (cfg.Topology, or the PCIe fabric), a copy of its edges, one
+	// server per link, a credit pool per windowed edge (nil where the
+	// edge has no window), flat per-edge byte/packet counters, the
+	// recycled hop pipelines, and the optional per-hop observer.
+	graph       *topo.Graph
+	edges       []topo.Edge
+	linkSrv     []*des.Server
 	edgeCred    []*des.TokenPool
 	edgeBytes   []core.Bytes
 	edgePackets []uint64
-	tfree       []*topoXfer
+	hfree       []*hopXfer
 	hopObs      HopObserver
-}
-
-// xfer carries one ideal-path message through its pipeline stages —
-// credit acquire, egress serialization, optional trunk hop, ingress
-// serialization, delivery — with the stage callbacks pre-bound once at
-// construction. The lifecycle is strictly linear, so a finished xfer is
-// recycled through Network.xfree and a steady packet stream allocates
-// nothing per message. The fault-injected path (replay.go) keeps its own
-// bookkeeping and does not use xfer.
-type xfer struct {
-	n         *Network
-	src, dst  int
-	wireBytes int
-	credits   core.Credits
-	serialize des.Time
-	hopDelay  des.Time
-	start     des.Time
-	done      func()
-
-	afterAcquire func()
-	afterEgress  func()
-	trunkReq     func()
-	afterTrunk   func()
-	ingressReq   func()
-	deliver      func()
-}
-
-//finepack:allow hotalloc -- the pipeline closures bind once per pooled xfer on the freelist miss path and are reused for the object's lifetime
-func (n *Network) getXfer() *xfer {
-	if len(n.xfree) > 0 {
-		x := n.xfree[len(n.xfree)-1]
-		n.xfree[len(n.xfree)-1] = nil
-		n.xfree = n.xfree[:len(n.xfree)-1]
-		return x
-	}
-	x := &xfer{n: n}
-	x.afterAcquire = func() { x.n.egress[x.src].Request(x.serialize, x.afterEgress) }
-	x.afterEgress = func() {
-		if x.n.switchOf(x.src) != x.n.switchOf(x.dst) {
-			x.n.sched.After(x.hopDelay, x.trunkReq)
-			return
-		}
-		x.afterTrunk()
-	}
-	x.trunkReq = func() {
-		x.n.trunk(x.n.switchOf(x.src), x.n.switchOf(x.dst)).Request(x.serialize, x.afterTrunk)
-	}
-	x.afterTrunk = func() { x.n.sched.After(x.hopDelay, x.ingressReq) }
-	x.ingressReq = func() { x.n.ingress[x.dst].Request(x.serialize, x.deliver) }
-	x.deliver = func() {
-		nw := x.n
-		nw.credits[x.dst].Release(int(x.credits))
-		if nw.obs != nil {
-			nw.obs.MessageDelivered(x.src, x.dst, x.wireBytes, x.start, nw.sched.Now())
-		}
-		done := x.done
-		x.done = nil
-		nw.xfree = append(nw.xfree, x)
-		if done != nil {
-			done()
-		}
-	}
-	return x
 }
 
 // New builds the network on the given scheduler.
@@ -225,7 +148,6 @@ func New(sched *des.Scheduler, cfg Config) (*Network, error) {
 	n := &Network{
 		cfg:     cfg,
 		sched:   sched,
-		trunks:  make(map[[2]int]*des.Server),
 		perLink: make([]core.Bytes, cfg.NumGPUs*cfg.NumGPUs),
 	}
 	if cfg.Faults.Enabled() {
@@ -242,20 +164,27 @@ func New(sched *des.Scheduler, cfg Config) (*Network, error) {
 		}
 	}
 	for i := 0; i < cfg.NumGPUs; i++ {
-		n.egress = append(n.egress, des.NewServer(sched))
-		n.ingress = append(n.ingress, des.NewServer(sched))
 		n.credits = append(n.credits, des.NewTokenPool(sched, cfg.CreditBytes/creditUnit))
 	}
-	if cfg.Topology != nil {
-		ne := cfg.Topology.NumEdges()
-		n.edgeSrv = make([]*des.Server, ne)
-		n.edgeCred = make([]*des.TokenPool, ne)
-		n.edgeBytes = make([]core.Bytes, ne)
-		n.edgePackets = make([]uint64, ne)
-		for e := 0; e < ne; e++ {
-			n.edgeSrv[e] = des.NewServer(sched)
-			n.edgeCred[e] = des.NewTokenPool(sched, cfg.Topology.Edge(e).CreditBytes/creditUnit)
+	n.graph = cfg.Topology
+	if n.graph == nil {
+		n.graph = topo.PCIe(cfg.NumGPUs, cfg.Bandwidth, core.PicoSeconds(cfg.HopLatency))
+	}
+	ne := n.graph.NumEdges()
+	n.edges = make([]topo.Edge, ne)
+	n.edgeCred = make([]*des.TokenPool, ne)
+	n.edgeBytes = make([]core.Bytes, ne)
+	n.edgePackets = make([]uint64, ne)
+	for e := range n.edges {
+		edge := n.graph.Edge(e)
+		n.edges[e] = edge
+		if edge.CreditBytes > 0 {
+			n.edgeCred[e] = des.NewTokenPool(sched, edge.CreditBytes/creditUnit)
 		}
+	}
+	n.linkSrv = make([]*des.Server, n.graph.NumLinks())
+	for l := range n.linkSrv {
+		n.linkSrv[l] = des.NewServer(sched)
 	}
 	return n, nil
 }
@@ -264,43 +193,10 @@ func New(sched *des.Scheduler, cfg Config) (*Network, error) {
 // (defaults substituted).
 func (n *Network) Config() Config { return n.cfg }
 
-// switchOf returns the leaf switch index for a GPU.
-func (n *Network) switchOf(gpu int) int { return gpu / n.cfg.GPUsPerSwitch }
-
-// NumSwitches returns the leaf switch count.
-func (n *Network) NumSwitches() int {
-	return (n.cfg.NumGPUs + n.cfg.GPUsPerSwitch - 1) / n.cfg.GPUsPerSwitch
-}
-
-// trunk returns (creating on demand) the trunk link between two switches.
-// The 16-GPU system joins leaf switches pairwise through one upper link
-// each way; trunk links run at the same generation bandwidth.
-func (n *Network) trunk(a, b int) *des.Server {
-	if a > b {
-		a, b = b, a
-	}
-	key := [2]int{a, b}
-	s, ok := n.trunks[key]
-	if !ok {
-		s = des.NewServer(n.sched)
-		n.trunks[key] = s
-	}
-	return s
-}
-
-// Hops returns the number of switch traversals between two GPUs.
-func (n *Network) Hops(src, dst int) int {
-	if n.switchOf(src) == n.switchOf(dst) {
-		return 1
-	}
-	return 2
-}
-
 // Send transmits wireBytes from src to dst; done (may be nil) fires when
-// the last byte arrives at the destination port. The path serializes at
-// the source egress port, any trunk link, and the destination ingress
-// port, with switch and propagation latency per hop, under the
-// destination's credit loop.
+// the last byte arrives at the destination port. The message holds
+// credits of the destination's receiver buffer end to end and
+// store-and-forwards along its route, serializing on every hop.
 //
 //finepack:hotpath per-packet transfer pipeline entry
 func (n *Network) Send(src, dst int, wireBytes int, done func()) {
@@ -314,36 +210,25 @@ func (n *Network) Send(src, dst int, wireBytes int, done func()) {
 	n.BytesSent += core.Bytes(wireBytes)
 	n.perLink[src*n.cfg.NumGPUs+dst] += core.Bytes(wireBytes)
 
-	serialize := des.DurationForBytes(uint64(wireBytes), n.cfg.Bandwidth)
-	hopDelay := n.cfg.SwitchLatency + n.cfg.PropagationLatency
 	credits := core.Credits((wireBytes + creditUnit - 1) / creditUnit)
 	// A message larger than the whole receiver buffer streams through it
 	// chunk by chunk; it can never hold more credits than exist.
 	if maxCredits := core.Credits(n.cfg.CreditBytes / creditUnit); credits > maxCredits {
 		credits = maxCredits
 	}
-
-	if n.cfg.Topology != nil {
-		if n.fi != nil {
-			n.sendReliableTopo(src, dst, wireBytes, credits, done)
-			return
-		}
-		n.sendTopo(src, dst, wireBytes, credits, done)
-		return
-	}
-
 	if n.fi != nil {
 		n.sendReliable(src, dst, wireBytes, credits, done)
 		return
 	}
-
-	x := n.getXfer()
+	x := n.getHopXfer()
+	x.route = n.graph.Route(src, dst)
+	x.hop = 0
 	x.src, x.dst = src, dst
-	x.wireBytes, x.credits = wireBytes, credits
-	x.serialize, x.hopDelay = serialize, hopDelay
+	x.wireBytes = wireBytes
+	x.dstCredits = credits
 	x.start = n.sched.Now()
 	x.done = done
-	n.credits[dst].Acquire(int(credits), x.afterAcquire)
+	n.credits[dst].Acquire(int(credits), x.acquireEdge)
 }
 
 // LinkBytes returns bytes sent on the src→dst endpoint pair.
@@ -352,11 +237,6 @@ func (n *Network) LinkBytes(src, dst int) core.Bytes {
 		return 0
 	}
 	return n.perLink[src*n.cfg.NumGPUs+dst]
-}
-
-// EgressUtilization returns the egress-port utilization for a GPU.
-func (n *Network) EgressUtilization(gpu int) float64 {
-	return n.egress[gpu].Utilization()
 }
 
 //finepack:allow hotalloc -- link-error accounting runs only on the fault-injection path, off the headline benchmarks

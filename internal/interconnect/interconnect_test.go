@@ -19,17 +19,13 @@ func newNet(t *testing.T, cfg Config) (*des.Scheduler, *Network) {
 // zeroLatency strips latencies so serialization arithmetic is exact.
 func zeroLatency(numGPUs int, bw float64) Config {
 	cfg := DefaultConfig(numGPUs, bw)
-	cfg.SwitchLatency = 0
-	cfg.PropagationLatency = 0
+	cfg.HopLatency = 0
 	return cfg
 }
 
 func TestValidate(t *testing.T) {
-	if _, err := New(des.NewScheduler(), Config{NumGPUs: 1, GPUsPerSwitch: 4}); err == nil {
+	if _, err := New(des.NewScheduler(), Config{NumGPUs: 1}); err == nil {
 		t.Fatal("1 GPU should be rejected")
-	}
-	if _, err := New(des.NewScheduler(), Config{NumGPUs: 4, GPUsPerSwitch: 0}); err == nil {
-		t.Fatal("zero radix should be rejected")
 	}
 }
 
@@ -47,8 +43,7 @@ func TestSendSerializationTime(t *testing.T) {
 
 func TestSendLatency(t *testing.T) {
 	cfg := zeroLatency(4, 32e9)
-	cfg.SwitchLatency = 150 * des.Nanosecond
-	cfg.PropagationLatency = 10 * des.Nanosecond
+	cfg.HopLatency = 160 * des.Nanosecond
 	sched, n := newNet(t, cfg)
 	var doneAt des.Time
 	n.Send(0, 1, 32, func() { doneAt = sched.Now() })
@@ -118,15 +113,20 @@ func TestInfiniteBandwidth(t *testing.T) {
 	}
 }
 
+// The PCIe fabric routes a same-switch pair GPU→switch→GPU (two edges)
+// and a cross-switch pair over one trunk (three edges).
 func TestTopology4GPUsSingleSwitch(t *testing.T) {
 	_, n := newNet(t, zeroLatency(4, 32e9))
-	if n.NumSwitches() != 1 {
-		t.Fatalf("switches = %d, want 1", n.NumSwitches())
+	if n.NumEdges() != 0 {
+		t.Fatalf("PCIe fabric exposes %d edges, want 0", n.NumEdges())
+	}
+	if got := n.graph.NumEdges(); got != 8 {
+		t.Fatalf("edges = %d, want 8 (one switch, no trunks)", got)
 	}
 	for src := 0; src < 4; src++ {
 		for dst := 0; dst < 4; dst++ {
-			if src != dst && n.Hops(src, dst) != 1 {
-				t.Fatalf("hops(%d,%d) = %d, want 1", src, dst, n.Hops(src, dst))
+			if src != dst && n.graph.Hops(src, dst) != 2 {
+				t.Fatalf("hops(%d,%d) = %d, want 2", src, dst, n.graph.Hops(src, dst))
 			}
 		}
 	}
@@ -134,14 +134,16 @@ func TestTopology4GPUsSingleSwitch(t *testing.T) {
 
 func TestTopology16GPUsFourSwitches(t *testing.T) {
 	_, n := newNet(t, zeroLatency(16, 128e9))
-	if n.NumSwitches() != 4 {
-		t.Fatalf("switches = %d, want 4", n.NumSwitches())
+	// 16 GPU edge pairs plus one trunk per switch pair (6), each trunk
+	// one half-duplex link.
+	if e, l := n.graph.NumEdges(), n.graph.NumLinks(); e != 44 || l != 38 {
+		t.Fatalf("edges/links = %d/%d, want 44/38", e, l)
 	}
-	if n.Hops(0, 3) != 1 {
-		t.Fatal("same-switch pair should be 1 hop")
+	if n.graph.Hops(0, 3) != 2 {
+		t.Fatal("same-switch pair should be 2 hops")
 	}
-	if n.Hops(0, 15) != 2 {
-		t.Fatal("cross-switch pair should be 2 hops")
+	if n.graph.Hops(0, 15) != 3 {
+		t.Fatal("cross-switch pair should be 3 hops")
 	}
 }
 
@@ -163,6 +165,19 @@ func TestTrunkContention(t *testing.T) {
 	}
 }
 
+func TestTrunkHalfDuplex(t *testing.T) {
+	// A trunk's two directions share one serializer: opposing flows
+	// contend for it exactly like same-direction ones.
+	sched, n := newNet(t, zeroLatency(8, 32e9))
+	var fwd, back des.Time
+	n.Send(0, 4, 32000, func() { fwd = sched.Now() })
+	n.Send(4, 0, 32000, func() { back = sched.Now() })
+	sched.Run()
+	if fwd != 3*des.Microsecond || back != 4*des.Microsecond {
+		t.Fatalf("arrivals 0->4 %v, 4->0 %v; want 3us, 4us (half-duplex trunk)", fwd, back)
+	}
+}
+
 func TestStatsAndLinkBytes(t *testing.T) {
 	sched, n := newNet(t, zeroLatency(4, 32e9))
 	n.Send(0, 1, 100, nil)
@@ -178,8 +193,8 @@ func TestStatsAndLinkBytes(t *testing.T) {
 	if n.LinkBytes(1, 0) != 0 {
 		t.Fatal("direction matters")
 	}
-	if u := n.EgressUtilization(0); u <= 0 {
-		t.Fatalf("egress utilization = %v", u)
+	if b := n.EgressBusy(0); b <= 0 {
+		t.Fatalf("egress busy = %v", b)
 	}
 }
 

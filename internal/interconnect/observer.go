@@ -37,21 +37,40 @@ type HopObserver interface {
 // SetObserver attaches (or with nil, detaches) a fabric observer. Callers
 // holding a possibly-nil concrete pointer must guard the call — assigning
 // a typed nil would defeat the n.obs != nil fast path. Observers that also
-// implement HopObserver receive per-hop callbacks on multi-hop fabrics.
+// implement HopObserver receive per-hop callbacks on a caller-supplied
+// topology.
 func (n *Network) SetObserver(o Observer) {
 	n.obs = o
 	n.hopObs = nil
-	if h, ok := o.(HopObserver); ok {
+	if h, ok := o.(HopObserver); ok && n.cfg.Topology != nil {
 		n.hopObs = h
 	}
 }
 
-// EgressBusy returns the cumulative busy time of a GPU's egress port.
-// Deltas between samples give windowed link utilization.
-func (n *Network) EgressBusy(gpu int) des.Time { return n.egress[gpu].Busy }
+// EgressBusy returns the cumulative busy time of a GPU's egress: the
+// links of every edge leaving it. Deltas between samples give windowed
+// link utilization.
+func (n *Network) EgressBusy(gpu int) des.Time {
+	var busy des.Time
+	for _, e := range n.edges {
+		if e.From == gpu {
+			busy += n.linkSrv[e.Link].Busy
+		}
+	}
+	return busy
+}
 
-// IngressBusy returns the cumulative busy time of a GPU's ingress port.
-func (n *Network) IngressBusy(gpu int) des.Time { return n.ingress[gpu].Busy }
+// IngressBusy returns the cumulative busy time of a GPU's ingress: the
+// links of every edge entering it.
+func (n *Network) IngressBusy(gpu int) des.Time {
+	var busy des.Time
+	for _, e := range n.edges {
+		if e.To == gpu {
+			busy += n.linkSrv[e.Link].Busy
+		}
+	}
+	return busy
+}
 
 // CreditWaiters returns the senders currently stalled on credits toward
 // dst.

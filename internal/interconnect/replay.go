@@ -11,11 +11,11 @@ import (
 )
 
 // Reliability path: when fault injection is enabled the network runs a
-// data-link-layer Ack/Nak protocol over the same port/credit model.
+// data-link-layer Ack/Nak protocol over the same hop/credit model.
 //
-//   - Every transmission attempt re-serializes the packet through the
-//     source egress port, any trunk link, and the destination ingress
-//     port; the receiver then draws the corruption lottery (CRC check).
+//   - Every transmission attempt re-serializes the packet on every hop of
+//     its route; the receiver then draws the corruption lottery (CRC
+//     check).
 //   - A corrupted (or dead-link) attempt is Nak'd: the packet stays in
 //     the transmitter's replay buffer and retransmits after an
 //     ack-timeout with bounded exponential backoff.
@@ -40,8 +40,12 @@ type Reset struct {
 	Links int
 }
 
-// sendReliable is Send's fault-path body: same credit loop, plus replay
-// buffering and the Ack/Nak retransmission protocol.
+// sendReliable is Send's fault-path body: the same destination credit
+// loop, plus replay buffering and the Ack/Nak retransmission protocol.
+// Each attempt re-traverses the whole route (the CRC check happens at the
+// destination, so a corrupted attempt re-serializes every hop). Fault
+// state stays keyed by the end-to-end (src,dst) GPU pair — injected error
+// rates and degradations apply to the path as a unit.
 //
 //finepack:allow hotalloc -- the reliable path runs only under fault injection, off the headline benchmarks; its per-message closures are accepted
 func (n *Network) sendReliable(src, dst, wireBytes int, credits core.Credits, done func()) {
@@ -66,9 +70,9 @@ func (n *Network) sendReliable(src, dst, wireBytes int, credits core.Credits, do
 	})
 }
 
-// attempt runs one transmission of the packet; acked fires when the
-// receiver accepts it (CRC pass → Ack). A corrupted or dead-link attempt
-// counts a link error and schedules a replay.
+// attempt runs one transmission of the packet along its route; acked
+// fires when the destination accepts it (CRC pass → Ack). A corrupted or
+// dead-link attempt counts a link error and schedules a replay.
 //
 //finepack:allow hotalloc -- fault-injection path; per-attempt closures are accepted off the headline benchmarks
 func (n *Network) attempt(src, dst, wireBytes, try int, acked func()) {
@@ -91,33 +95,44 @@ func (n *Network) attempt(src, dst, wireBytes, try int, acked func()) {
 		nak()
 		return
 	}
-	// Lane down-training stretches serialization on the degraded link.
-	bw := n.cfg.Bandwidth
-	if bw > 0 {
-		bw *= n.fi.BandwidthFraction(src, dst, now)
-	}
-	serialize := des.DurationForBytes(uint64(wireBytes), bw)
-	hopDelay := n.cfg.SwitchLatency + n.cfg.PropagationLatency
-	deliver := func() {
-		n.sched.After(hopDelay, func() {
-			n.ingress[dst].Request(serialize, func() {
-				if n.fi.Corrupted(src, dst, wireBytes, n.sched.Now()) {
-					nak()
-					return
-				}
-				acked()
-			})
+	// Lane down-training stretches serialization on every hop.
+	frac := n.fi.BandwidthFraction(src, dst, now)
+	route := n.graph.Route(src, dst)
+	var step func(hop int)
+	step = func(hop int) {
+		if hop >= len(route) {
+			if n.fi.Corrupted(src, dst, wireBytes, n.sched.Now()) {
+				nak()
+				return
+			}
+			acked()
+			return
+		}
+		e := route[hop]
+		edge := &n.edges[e]
+		bw := edge.Bandwidth
+		if bw > 0 {
+			bw *= frac
+		}
+		ser := des.DurationForBytes(uint64(wireBytes), bw)
+		hopStart := n.sched.Now()
+		arrived := func() {
+			n.edgeBytes[e] += core.Bytes(wireBytes)
+			n.edgePackets[e]++
+			if n.hopObs != nil {
+				n.hopObs.HopForwarded(int(e), src, dst, wireBytes, hopStart, n.sched.Now())
+			}
+			step(hop + 1)
+		}
+		n.linkSrv[edge.Link].Request(ser, func() {
+			if edge.Latency == 0 && hop == len(route)-1 {
+				arrived()
+				return
+			}
+			n.sched.After(des.Time(edge.Latency), arrived)
 		})
 	}
-	n.egress[src].Request(serialize, func() {
-		if n.switchOf(src) != n.switchOf(dst) {
-			n.sched.After(hopDelay, func() {
-				n.trunk(n.switchOf(src), n.switchOf(dst)).Request(serialize, deliver)
-			})
-		} else {
-			deliver()
-		}
-	})
+	step(0)
 }
 
 // backoff returns the replay delay after the given number of failed

@@ -67,8 +67,7 @@ func TestBandwidthScalesThroughput(t *testing.T) {
 	run := func(bw float64) des.Time {
 		sched := des.NewScheduler()
 		cfg := DefaultConfig(4, bw)
-		cfg.SwitchLatency = 0
-		cfg.PropagationLatency = 0
+		cfg.HopLatency = 0
 		n, err := New(sched, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -108,8 +107,7 @@ func TestCreditClampAllowsOversizedMessages(t *testing.T) {
 func TestHotspotSerializesAtIngress(t *testing.T) {
 	sched := des.NewScheduler()
 	cfg := DefaultConfig(4, 32e9)
-	cfg.SwitchLatency = 0
-	cfg.PropagationLatency = 0
+	cfg.HopLatency = 0
 	n, err := New(sched, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +121,7 @@ func TestHotspotSerializesAtIngress(t *testing.T) {
 	if end < 3*2*des.Microsecond {
 		t.Fatalf("hotspot finished at %v, ingress not serializing", end)
 	}
-	if u := n.EgressUtilization(0); u > 0.5 {
+	if u := float64(n.EgressBusy(0)) / float64(end); u > 0.5 {
 		t.Fatalf("egress 0 utilization %v; sources should mostly idle", u)
 	}
 }
@@ -180,8 +178,7 @@ func TestHighBERConservation(t *testing.T) {
 func TestTrunkIsolation(t *testing.T) {
 	sched := des.NewScheduler()
 	cfg := DefaultConfig(8, 32e9)
-	cfg.SwitchLatency = 0
-	cfg.PropagationLatency = 0
+	cfg.HopLatency = 0
 	n, err := New(sched, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -24,9 +24,7 @@ func twinGraph(t *testing.T, latPS core.PicoSeconds) *topo.Graph {
 }
 
 func topoConfig(g *topo.Graph) Config {
-	cfg := DefaultConfig(g.NumGPUs(), 32e9)
-	cfg.SwitchLatency = 0
-	cfg.PropagationLatency = 0
+	cfg := zeroLatency(g.NumGPUs(), 32e9)
 	cfg.Topology = g
 	return cfg
 }
@@ -64,6 +62,28 @@ func TestTopoHopLatency(t *testing.T) {
 	// 1ns serialize ×2 hops + 100ns latency ×2 hops.
 	if want := 2*des.Nanosecond + 200*des.Nanosecond; doneAt != want {
 		t.Fatalf("arrival = %v, want %v", doneAt, want)
+	}
+}
+
+// TestTopoPortBusy: a GPU's egress and ingress busy time is that of its
+// out- and in-edges, so port utilization is sampled on every fabric.
+func TestTopoPortBusy(t *testing.T) {
+	g := twinGraph(t, 0)
+	sched, n := newNet(t, topoConfig(g))
+	n.Send(0, 2, 32000, nil) // 1µs + 4µs + 4µs + 1µs over four edges
+	sched.Run()
+	var edges des.Time
+	for e := 0; e < n.NumEdges(); e++ {
+		edges += n.EdgeBusy(e)
+	}
+	if edges != 10*des.Microsecond {
+		t.Fatalf("edge busy = %v, want 10µs", edges)
+	}
+	if eb, ib := n.EgressBusy(0), n.IngressBusy(2); eb != des.Microsecond || ib != des.Microsecond {
+		t.Fatalf("egress(0) = %v, ingress(2) = %v; want 1µs each", eb, ib)
+	}
+	if eb, ib := n.EgressBusy(2), n.IngressBusy(0); eb != 0 || ib != 0 {
+		t.Fatalf("egress(2) = %v, ingress(0) = %v; want 0", eb, ib)
 	}
 }
 

@@ -74,11 +74,12 @@ type Config struct {
 	// retry-loop bug surfaces as an "event budget exceeded" error rather
 	// than an infinite loop. Zero selects a generous default.
 	EventBudget uint64
-	// Topology, when set, replaces the flat single-switch fabric with a
-	// hierarchical multi-hop one: messages store-and-forward along static
-	// shortest-path routes whose per-edge bandwidth/latency/credit
-	// parameters come from the spec. Nil keeps the legacy flat fabric
-	// bit-identical to builds without the topology model. The Infinite
+	// Topology, when set, replaces the paper's PCIe fabric with a
+	// hierarchical multi-hop one whose per-edge bandwidth/latency/credit
+	// parameters come from the spec. Either way messages store-and-forward
+	// along static shortest-path routes; nil selects the PCIe fabric
+	// (topo.PCIe: 4-GPU leaf switches, one half-duplex trunk per switch
+	// pair, the link generation's bandwidth on every edge). The Infinite
 	// paradigm elides transfer costs and therefore drops the topology.
 	Topology *topo.Spec
 }

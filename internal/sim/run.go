@@ -86,8 +86,7 @@ func runSource(src trace.IterationSource, par Paradigm, cfg Config, rec *obs.Rec
 	if par == Infinite {
 		// The opportunity bound elides all transfer costs.
 		netCfg.Bandwidth = 0
-		netCfg.SwitchLatency = 0
-		netCfg.PropagationLatency = 0
+		netCfg.HopLatency = 0
 	}
 	var graph *topo.Graph
 	if cfg.Topology != nil && par != Infinite {

@@ -14,8 +14,13 @@ type Edge struct {
 	Bandwidth float64
 	// Latency is the per-hop traversal latency (switch + propagation).
 	Latency core.PicoSeconds
-	// CreditBytes bounds bytes in flight on this edge.
+	// CreditBytes bounds bytes in flight on this edge; zero means the
+	// edge has no window of its own.
 	CreditBytes int
+	// Link is the index of the serializer the edge transmits on. Build
+	// gives every directed edge its own; edges sharing a Link (the PCIe
+	// fabric's half-duplex trunks) contend for one serializer.
+	Link int
 	// Inter marks an inter-node edge (either endpoint outside every
 	// GPU node, or endpoints in different nodes).
 	Inter bool
@@ -23,13 +28,14 @@ type Edge struct {
 
 // Graph is an instantiated topology: the vertex/edge structure plus the
 // static shortest-path route tables the fabric forwards by. Graphs are
-// immutable after Build and safe to share across runs.
+// immutable once built (by Build or PCIe) and safe to share across runs.
 type Graph struct {
 	name    string
 	numGPUs int
 	verts   int
 	gpuNode []int // node index per GPU
 	edges   []Edge
+	links   int      // serializer count (see Edge.Link)
 	labels  []string // per-edge display labels, built once
 
 	// routes is a flat arena of edge IDs; the path for (src,dst) is
@@ -55,21 +61,67 @@ func Build(s *Spec) (*Graph, error) {
 	} else {
 		g.buildCustom(s)
 	}
-	g.labels = make([]string, len(g.edges))
-	for i, e := range g.edges {
-		g.labels[i] = fmt.Sprintf("%s->%s", g.vertName(e.From), g.vertName(e.To))
-	}
-	if err := g.buildRoutes(); err != nil {
+	if err := g.finish(); err != nil {
 		return nil, err
 	}
 	return g, nil
 }
 
+// PCIeSwitchRadix is the leaf-switch radix of the paper's PCIe fabric: 4
+// GPUs under one switch (§V), 16 under four (§VI-B).
+const PCIeSwitchRadix = 4
+
+// PCIe builds the paper's flat PCIe fabric: GPUs hang off leaf switches
+// of PCIeSwitchRadix GPUs each, and every pair of leaf switches is joined
+// by one trunk. A GPU→switch edge and a trunk edge each cost hopLatency
+// (switch + propagation); a switch→GPU edge costs none, so a same-switch
+// message pays one hop latency and a cross-switch message two. Each trunk
+// is half-duplex: its two directions share one serializer, so opposing
+// flows contend for it. No edge has a credit window of its own — the
+// destination's receiver buffer is the fabric's only flow control. A
+// bandwidth of zero serializes in zero time (the opportunity bound).
+func PCIe(gpus int, bandwidth float64, hopLatency core.PicoSeconds) *Graph {
+	switches := (gpus + PCIeSwitchRadix - 1) / PCIeSwitchRadix
+	g := &Graph{name: "pcie", numGPUs: gpus, verts: gpus + switches, gpuNode: make([]int, gpus)}
+	for gpu := 0; gpu < gpus; gpu++ {
+		leaf := gpus + gpu/PCIeSwitchRadix
+		g.addEdge(Edge{From: gpu, To: leaf, Bandwidth: bandwidth, Latency: hopLatency})
+		g.addEdge(Edge{From: leaf, To: gpu, Bandwidth: bandwidth})
+	}
+	for a := gpus; a < g.verts; a++ {
+		for b := a + 1; b < g.verts; b++ {
+			g.addEdge(Edge{From: a, To: b, Bandwidth: bandwidth, Latency: hopLatency})
+			back := g.edges[len(g.edges)-1]
+			back.From, back.To = b, a
+			g.edges = append(g.edges, back)
+		}
+	}
+	if err := g.finish(); err != nil {
+		panic(err) // every GPU reaches every other through its leaf switch
+	}
+	return g
+}
+
+// finish labels the edges and computes the route tables.
+func (g *Graph) finish() error {
+	g.labels = make([]string, len(g.edges))
+	for i, e := range g.edges {
+		g.labels[i] = fmt.Sprintf("%s->%s", g.vertName(e.From), g.vertName(e.To))
+	}
+	return g.buildRoutes()
+}
+
+// addEdge appends a directed edge on a serializer of its own.
+func (g *Graph) addEdge(e Edge) {
+	e.Link = g.links
+	g.links++
+	g.edges = append(g.edges, e)
+}
+
 // addDuplex appends the two directed edges of one physical link.
 func (g *Graph) addDuplex(a, b int, c LinkClass, inter bool) {
-	g.edges = append(g.edges,
-		Edge{From: a, To: b, Bandwidth: c.Bandwidth, Latency: c.Latency, CreditBytes: c.CreditBytes, Inter: inter},
-		Edge{From: b, To: a, Bandwidth: c.Bandwidth, Latency: c.Latency, CreditBytes: c.CreditBytes, Inter: inter})
+	g.addEdge(Edge{From: a, To: b, Bandwidth: c.Bandwidth, Latency: c.Latency, CreditBytes: c.CreditBytes, Inter: inter})
+	g.addEdge(Edge{From: b, To: a, Bandwidth: c.Bandwidth, Latency: c.Latency, CreditBytes: c.CreditBytes, Inter: inter})
 }
 
 // buildHierarchical expands nodes × gpusPerNode: vertices are the GPUs
@@ -245,7 +297,8 @@ func (g *Graph) buildRoutes() error {
 // Name returns the topology's name.
 func (g *Graph) Name() string { return g.name }
 
-// Spec returns the normalized spec the graph was built from.
+// Spec returns the normalized spec the graph was built from (nil for the
+// PCIe fabric, which has no spec form).
 func (g *Graph) Spec() *Spec { return g.spec }
 
 // NumGPUs returns the endpoint count.
@@ -256,6 +309,9 @@ func (g *Graph) NumEdges() int { return len(g.edges) }
 
 // Edge returns directed edge e.
 func (g *Graph) Edge(e int) Edge { return g.edges[e] }
+
+// NumLinks returns the serializer count: every Edge.Link is below it.
+func (g *Graph) NumLinks() int { return g.links }
 
 // EdgeLabel returns a stable display label for edge e ("gpu0->sw0").
 func (g *Graph) EdgeLabel(e int) string { return g.labels[e] }

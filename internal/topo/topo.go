@@ -5,7 +5,8 @@
 // JSON-loadable description (named presets or custom graphs); Build
 // expands it into a Graph with static shortest-path route tables computed
 // once, so per-message route lookup on the simulator's hot path is a flat
-// slice read and allocation-free.
+// slice read and allocation-free. PCIe builds the paper's flat PCIe
+// fabric the same way; it has no Spec form.
 //
 // Determinism: everything here is computed from the Spec alone — vertex
 // and edge IDs follow declaration order, the BFS route construction

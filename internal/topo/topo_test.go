@@ -179,3 +179,31 @@ func TestSpecValidation(t *testing.T) {
 		t.Errorf("disconnected graph: error %v, want 'no path'", err)
 	}
 }
+
+// TestPCIeFabric pins the flat PCIe graph: hop latency on the GPU→switch
+// and trunk edges only, no per-edge credit window, and each trunk's two
+// directions on one shared (half-duplex) link.
+func TestPCIeFabric(t *testing.T) {
+	const hop = 160_000
+	g := PCIe(8, 32e9, hop)
+	if g.NumEdges() != 18 || g.NumLinks() != 17 {
+		t.Fatalf("edges/links = %d/%d, want 18/17", g.NumEdges(), g.NumLinks())
+	}
+	fwd, back := g.Route(0, 4), g.Route(4, 0)
+	if len(fwd) != 3 || len(back) != 3 {
+		t.Fatalf("cross-switch routes %v / %v, want 3 hops each", fwd, back)
+	}
+	if a, b := g.Edge(int(fwd[1])), g.Edge(int(back[1])); a.Link != b.Link || a.From != b.To {
+		t.Fatalf("trunk directions %+v / %+v must share one link", a, b)
+	}
+	for e := 0; e < g.NumEdges(); e++ {
+		edge := g.Edge(e)
+		wantLat := 0
+		if edge.To >= g.NumGPUs() {
+			wantLat = hop
+		}
+		if int(edge.Latency) != wantLat || edge.CreditBytes != 0 || edge.Bandwidth != 32e9 {
+			t.Errorf("edge %s = %+v, want latency %d, no window", g.EdgeLabel(e), edge, wantLat)
+		}
+	}
+}
