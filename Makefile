@@ -78,13 +78,12 @@ vet:
 
 # Build and run the determinism-contract multichecker (see DESIGN.md,
 # "Determinism contract" and DESIGN.md §13): wallclock, unseededrand,
-# maporder, goroutinefree, sprintfkey, hotalloc, simunits, lockheld. Runs
-# under both queue selections (the des_heapq heap files carry their own
-# hotpath annotations), then audits every //finepack:allow for a real
-# analyzer name and a written justification.
+# maporder, goroutinefree, sprintfkey, hotalloc, simunits, lockheld. One
+# pass covers both event queues (the reference heap is untagged and carries
+# its own hotpath annotations), then audits every //finepack:allow for a
+# real analyzer name and a written justification.
 lint:
 	go run ./cmd/finepack-vet ./...
-	go run ./cmd/finepack-vet -tags des_heapq ./...
 	go run ./cmd/finepack-vet -allowances ./... > /dev/null
 
 # Fails when any file needs gofmt, listing the offenders. (The old
@@ -146,7 +145,6 @@ bench-compare:
 fuzz:
 	go test -fuzz=FuzzDecodePacket -fuzztime=30s ./internal/core/
 	go test -fuzz=FuzzQueueWrite -fuzztime=30s ./internal/core/
-	go test -fuzz=FuzzLoad -fuzztime=30s ./internal/trace/
 	go test -fuzz=FuzzReader -fuzztime=30s ./internal/tracestream/
 	go test -fuzz=FuzzProfile -fuzztime=30s ./internal/tracestream/
 

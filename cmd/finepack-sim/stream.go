@@ -14,13 +14,13 @@ import (
 
 // stream experiment flags: exactly one input selects the source.
 var (
-	streamTrace    string // v1 or v2 trace file, replayed via its source
+	streamTrace    string // v2 trace file, replayed via its source
 	streamSynth    string // synthesis profile JSON, expanded on the fly
 	streamParadigm string
 )
 
 func registerStreamFlags() {
-	flag.StringVar(&streamTrace, "stream-trace", "", "stream: trace file (v1 gob or v2 chunked) to replay")
+	flag.StringVar(&streamTrace, "stream-trace", "", "stream: trace file (v2 chunked stream) to replay")
 	flag.StringVar(&streamSynth, "stream-synth", "", "stream: synthesis profile JSON to expand and replay")
 	flag.StringVar(&streamParadigm, "stream-paradigm", "finepack", "stream: paradigm to simulate")
 }
@@ -44,7 +44,11 @@ func showStream(*experiments.Suite) error {
 	case streamTrace != "" && streamSynth != "":
 		return fmt.Errorf("stream takes -stream-trace or -stream-synth, not both")
 	case streamTrace != "":
-		src, closer, err = tracestream.OpenSource(streamTrace)
+		var f *tracestream.File
+		if f, err = tracestream.OpenFile(streamTrace); err != nil {
+			return err
+		}
+		src, closer = f.Source(), f.Close
 	case streamSynth != "":
 		var f *os.File
 		if f, err = os.Open(streamSynth); err != nil {

@@ -28,8 +28,8 @@
 // a written reason.
 //
 // -tags passes a comma-separated build-tag list through to package
-// loading, so tag-gated files (the des_heapq queue selection) are vetted
-// under the same file set they compile with.
+// loading, so tag-gated files are vetted under the same file set they
+// compile with.
 package main
 
 import (
@@ -67,7 +67,7 @@ func main() {
 	listOnly := flag.Bool("list", false, "list the analyzers in the suite and exit")
 	jsonOut := flag.Bool("json", false, "emit findings as JSON (including suppressed ones) instead of text")
 	audit := flag.Bool("allowances", false, "audit //finepack:allow directives instead of reporting findings")
-	tags := flag.String("tags", "", "comma-separated build tags for package loading (e.g. des_heapq)")
+	tags := flag.String("tags", "", "comma-separated build tags for package loading")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: finepack-vet [-list] [-json] [-allowances] [-tags taglist] [packages]\n")
 		flag.PrintDefaults()

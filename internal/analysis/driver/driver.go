@@ -51,8 +51,8 @@ type Config struct {
 	KnownNames map[string]bool
 
 	// Tags is a comma-separated build-tag list passed to `go list -tags`,
-	// so tag-gated files (e.g. the des_heapq queue selection) are analyzed
-	// under the same file set they compile with.
+	// so tag-gated files are analyzed under the same file set they
+	// compile with.
 	Tags string
 
 	// IncludeSuppressed keeps findings silenced by justified

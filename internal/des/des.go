@@ -9,10 +9,11 @@
 //
 // Two event-queue implementations live behind one Scheduler API (see
 // DESIGN.md §12): a calendar queue tuned for the simulator's near-future
-// event distribution (the default), and the original binary heap, kept as
-// the reference oracle and selectable for a whole build with
-// `-tags des_heapq`. Both fire events in exactly the same (At, seq) total
-// order, a property the in-package equivalence tests fuzz continuously.
+// event distribution, which every NewScheduler uses, and the original
+// binary heap, kept only as the reference oracle the in-package
+// equivalence tests drive through newSchedulerWith(true). Both fire events
+// in exactly the same (At, seq) total order, a property those tests fuzz
+// continuously.
 package des
 
 import (
@@ -124,9 +125,10 @@ type Scheduler struct {
 	slab   []Event // bump allocator for events (see newEvent)
 
 	// Queue implementation. useHeap selects the reference binary heap
-	// (build tag des_heapq, or newHeapScheduler in tests); the default is
-	// the calendar queue. One predictable branch per queue operation is
-	// far cheaper than an interface call on the hot path.
+	// (newSchedulerWith(true), used by the equivalence tests); every
+	// NewScheduler runs the calendar queue. One predictable branch per
+	// queue operation is far cheaper than an interface call on the hot
+	// path.
 	useHeap bool
 	hq      eventHeap
 	cq      calendarQueue
@@ -165,12 +167,12 @@ func (s *Scheduler) newEvent(t Time, fn func()) *Event {
 
 // NewScheduler returns a scheduler at time zero.
 func NewScheduler() *Scheduler {
-	return newSchedulerWith(defaultUseHeap)
+	return newSchedulerWith(false)
 }
 
 // newSchedulerWith builds a scheduler on an explicit queue implementation;
 // the equivalence oracle drives a heap and a calendar scheduler in
-// lockstep regardless of build tags.
+// lockstep.
 func newSchedulerWith(useHeap bool) *Scheduler {
 	s := &Scheduler{useHeap: useHeap}
 	if useHeap {

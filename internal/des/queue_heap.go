@@ -4,8 +4,8 @@ import "container/heap"
 
 // eventHeap is the original binary-heap event queue, retained as the
 // reference implementation: dead simple, position-tracked (Cancel removes
-// eagerly), and the oracle the calendar queue is fuzzed against. Selected
-// for a whole build with `-tags des_heapq`.
+// eagerly), and the oracle the calendar queue is fuzzed against. Only the
+// equivalence tests build a scheduler on it.
 type eventHeap []*Event
 
 func (h eventHeap) Len() int { return len(h) }
@@ -34,7 +34,7 @@ func (h *eventHeap) Pop() any {
 
 // push enqueues an event.
 //
-//finepack:hotpath heap enqueue, once per scheduled event (des_heapq builds)
+//finepack:hotpath heap enqueue, once per scheduled event (reference queue)
 func (h *eventHeap) push(e *Event) { heap.Push(h, e) }
 
 // peek returns the minimum event without popping, or nil when empty.
@@ -51,7 +51,7 @@ func (h *eventHeap) remove(i int) { heap.Remove(h, i) }
 // popCohort appends every event sharing the minimum timestamp to dst in
 // seq order, marking each staged, and returns the extended slice.
 //
-//finepack:hotpath heap dequeue, once per fired cohort (des_heapq builds)
+//finepack:hotpath heap dequeue, once per fired cohort (reference queue)
 func (h *eventHeap) popCohort(dst []*Event) []*Event {
 	if len(*h) == 0 {
 		return dst

@@ -11,8 +11,16 @@ import (
 )
 
 // Reliability path: when fault injection is enabled the network runs a
-// data-link-layer Ack/Nak protocol over the same hop/credit model.
+// data-link-layer Ack/Nak protocol over the same hops and the same
+// end-to-end destination credit loop.
 //
+//   - Per-edge credit windows are not honoured here. attempt serializes
+//     each hop on the edge's link but never acquires the edge's window the
+//     ideal path's hopXfer takes, so under fault injection on a
+//     caller-supplied topology with windowed edges those windows are
+//     bypassed. The flat PCIe fabric has no edge windows, so it is
+//     unaffected. Honouring them could change fault-injected numbers on
+//     windowed topologies such as dgx2x8.
 //   - Every transmission attempt re-serializes the packet on every hop of
 //     its route; the receiver then draws the corruption lottery (CRC
 //     check).

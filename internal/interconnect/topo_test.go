@@ -127,8 +127,7 @@ func (l *hopLog) HopForwarded(edge, src, dst, wireBytes int, start, end des.Time
 // TestTopoDeliveryOrderDeterminism pins multi-hop delivery determinism:
 // an all-to-all burst over the pod4x8 preset forwards hops and delivers
 // messages in the same order on every run. Subtests run with t.Parallel
-// and the whole test is exercised under -race and both des_heapq tag
-// sets by CI.
+// and the whole test is exercised under -race by CI.
 func TestTopoDeliveryOrderDeterminism(t *testing.T) {
 	run := func() *hopLog {
 		spec, err := topo.Preset(topo.PresetPod4x8)

@@ -16,7 +16,6 @@ import (
 // iteration chunk.
 type TraceInfo struct {
 	ID         string  `json:"id"`
-	Format     int     `json:"format"` // 1 = gob, 2 = chunked stream
 	Name       string  `json:"name"`
 	GPUs       int     `json:"gpus"`
 	Iterations int     `json:"iterations"`
@@ -26,11 +25,9 @@ type TraceInfo struct {
 }
 
 // TraceRegistry validates, stores, and opens uploaded traces over a
-// content-addressed blob store. Uploads are accepted in either trace
-// format — the chunked v2 stream (validated from header/index/checksums,
-// then spot-opened) or the v1 gob encoding (fully loaded under
-// trace.Load's bounds) — and replayed through the format-appropriate
-// source at job time.
+// content-addressed blob store. Uploads are chunked v2 streams, validated
+// from header/index/checksums plus one full decode, and stream straight
+// off the blob at job time.
 type TraceRegistry struct {
 	blobs *store.BlobStore
 }
@@ -46,7 +43,7 @@ func (t *TraceRegistry) MaxUploadBytes() int64 { return t.blobs.MaxBytes() }
 // Add validates an uploaded trace and stores it, returning its info.
 // created is false when the identical bytes were already stored.
 func (t *TraceRegistry) Add(b []byte) (TraceInfo, bool, error) {
-	info, err := describeTrace(b)
+	info, err := describeTrace(bytes.NewReader(b), int64(len(b)))
 	if err != nil {
 		return TraceInfo{}, false, err
 	}
@@ -58,70 +55,39 @@ func (t *TraceRegistry) Add(b []byte) (TraceInfo, bool, error) {
 	return info, created, nil
 }
 
-// describeTrace validates trace bytes in either format and summarizes
-// them.
-func describeTrace(b []byte) (TraceInfo, error) {
-	info := TraceInfo{Bytes: int64(len(b))}
-	r, err := tracestream.NewReader(bytes.NewReader(b), int64(len(b)))
-	if err == nil {
-		// v2: the framing is verified; decode every window once so a job
-		// can never trip over a chunk that passed CRC but fails
-		// validation.
-		if _, err := drain(r.Source()); err != nil {
-			return info, fmt.Errorf("serve: trace stream invalid: %w", err)
-		}
-		m := r.Meta()
-		info.Format = 2
-		info.Name = m.Name
-		info.GPUs = m.NumGPUs
-		info.Iterations = m.Iterations
-		info.WarpStores = r.NumWarpStores()
-		info.SingleOps = m.SingleGPUOpsPerIter
-		return info, nil
-	}
-	if !isNotStream(err) {
-		return info, fmt.Errorf("serve: %w", err)
-	}
-	tr, err := trace.Load(bytes.NewReader(b))
+// describeTrace validates a v2 stream and summarizes it. The framing is
+// verified on open; every window is then decoded once so a job can never
+// trip over a chunk that passed CRC but fails validation. Memory stays
+// O(window) whatever the trace size.
+func describeTrace(r io.ReaderAt, size int64) (TraceInfo, error) {
+	sr, err := tracestream.NewReader(r, size)
 	if err != nil {
-		return info, fmt.Errorf("serve: not a v2 stream and not a v1 trace: %w", err)
+		return TraceInfo{}, fmt.Errorf("serve: %w", err)
 	}
-	info.Format = 1
-	info.Name = tr.Name
-	info.GPUs = tr.NumGPUs
-	info.Iterations = len(tr.Iterations)
-	info.WarpStores = tr.NumWarpStores()
-	info.SingleOps = tr.SingleGPUOpsPerIter
-	return info, nil
+	if err := drain(sr.Source()); err != nil {
+		return TraceInfo{}, fmt.Errorf("serve: trace stream invalid: %w", err)
+	}
+	m := sr.Meta()
+	return TraceInfo{
+		Name:       m.Name,
+		GPUs:       m.NumGPUs,
+		Iterations: m.Iterations,
+		WarpStores: sr.NumWarpStores(),
+		Bytes:      size,
+		SingleOps:  m.SingleGPUOpsPerIter,
+	}, nil
 }
 
 // drain pulls every window out of a source, surfacing the first error.
-func drain(src trace.IterationSource) (int, error) {
-	n := 0
+func drain(src trace.IterationSource) error {
 	for {
-		_, err := src.Next()
-		if err == io.EOF {
-			return n, nil
+		if _, err := src.Next(); err != nil {
+			if err == io.EOF {
+				return nil
+			}
+			return err
 		}
-		if err != nil {
-			return n, err
-		}
-		n++
 	}
-}
-
-func isNotStream(err error) bool {
-	for e := err; e != nil; {
-		if e == tracestream.ErrNotStream {
-			return true
-		}
-		u, ok := e.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		e = u.Unwrap()
-	}
-	return false
 }
 
 // Info summarizes a stored trace by ID.
@@ -131,11 +97,9 @@ func (t *TraceRegistry) Info(id string) (TraceInfo, error) {
 		return TraceInfo{}, err
 	}
 	defer close()
-	b := make([]byte, size)
-	if _, err := r.ReadAt(b, 0); err != nil {
-		return TraceInfo{}, err
-	}
-	info, err := describeTrace(b)
+	// BlobStore.Open does not re-verify the content hash, so the stored
+	// bytes are decoded in full again rather than trusted.
+	info, err := describeTrace(r, size)
 	if err != nil {
 		return TraceInfo{}, err
 	}
@@ -149,28 +113,19 @@ func (t *TraceRegistry) Has(id string) bool { return t.blobs.Has(id) }
 // IDs lists stored trace IDs.
 func (t *TraceRegistry) IDs() ([]string, error) { return t.blobs.IDs() }
 
-// OpenTrace implements TraceOpener: a v2 blob streams (dir-backed blobs
-// straight off disk), a v1 blob loads and adapts.
+// OpenTrace implements TraceOpener: the blob streams as a v2 source
+// (dir-backed blobs straight off disk).
 func (t *TraceRegistry) OpenTrace(id string) (trace.IterationSource, func() error, error) {
 	r, size, close, err := t.blobs.Open(id)
 	if err != nil {
 		return nil, nil, err
 	}
 	sr, err := tracestream.NewReader(r, size)
-	if err == nil {
-		return sr.Source(), close, nil
-	}
-	if !isNotStream(err) {
-		close()
-		return nil, nil, err
-	}
-	tr, err := trace.Load(io.NewSectionReader(r, 0, size))
 	if err != nil {
 		close()
 		return nil, nil, fmt.Errorf("serve: trace %s: %w", id, err)
 	}
-	close()
-	return trace.NewSliceSource(tr), func() error { return nil }, nil
+	return sr.Source(), close, nil
 }
 
 // SetTraces installs the trace upload registry; nil (the default)

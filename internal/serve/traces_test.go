@@ -2,7 +2,9 @@ package serve
 
 import (
 	"bytes"
+	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -28,7 +30,9 @@ func tinyTraceV2(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
-// tinyTraceV1 renders the same workload in the v1 gob encoding.
+// tinyTraceV1 renders the same workload in the retired v1 encoding — a
+// gob-encoded format tag followed by the gob-encoded Trace — the bytes an
+// old client may still upload or an older daemon may have stored.
 func tinyTraceV1(t *testing.T) []byte {
 	t.Helper()
 	tr, err := workloads.NewJacobi().Generate(2, workloads.Params{Scale: 0.05, Iterations: 1, Seed: 1})
@@ -36,7 +40,11 @@ func tinyTraceV1(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := tr.Save(&buf); err != nil {
+	enc := gob.NewEncoder(&buf)
+	if err := enc.Encode("finepack-trace-v1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Encode(tr); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -129,52 +137,52 @@ func TestTraceSpecIDStability(t *testing.T) {
 	}
 }
 
-// TestTraceRegistryFormats: both encodings validate, dedupe, describe,
-// and open.
+// TestTraceRegistryFormats: a v2 stream validates, dedupes, describes
+// and opens; v1 gob bytes are rejected as not a stream and never stored.
 func TestTraceRegistryFormats(t *testing.T) {
 	reg := newTraceRegistry(t, "")
-	for _, tc := range []struct {
-		name   string
-		bytes  []byte
-		format int
-	}{
-		{"v2", tinyTraceV2(t), 2},
-		{"v1", tinyTraceV1(t), 1},
-	} {
-		info, created, err := reg.Add(tc.bytes)
-		if err != nil {
-			t.Fatalf("%s: Add: %v", tc.name, err)
-		}
-		if !created {
-			t.Fatalf("%s: expected fresh blob", tc.name)
-		}
-		if info.Format != tc.format || info.Name != "jacobi" || info.GPUs != 2 || info.Iterations != 1 {
-			t.Fatalf("%s: info = %+v", tc.name, info)
-		}
-		if _, again, _ := reg.Add(tc.bytes); again {
-			t.Fatalf("%s: re-upload did not dedupe", tc.name)
-		}
-		src, closer, err := reg.OpenTrace(info.ID)
-		if err != nil {
-			t.Fatalf("%s: OpenTrace: %v", tc.name, err)
-		}
-		out, err := trace.Materialize(src)
-		if err != nil {
-			t.Fatalf("%s: Materialize: %v", tc.name, err)
-		}
-		if err := closer(); err != nil {
-			t.Fatalf("%s: close: %v", tc.name, err)
-		}
-		if out.Name != "jacobi" || len(out.Iterations) != 1 {
-			t.Fatalf("%s: replayed trace = %s/%d iters", tc.name, out.Name, len(out.Iterations))
-		}
+	b := tinyTraceV2(t)
+	info, created, err := reg.Add(b)
+	if err != nil {
+		t.Fatalf("Add: %v", err)
+	}
+	if !created {
+		t.Fatal("expected fresh blob")
+	}
+	if info.Name != "jacobi" || info.GPUs != 2 || info.Iterations != 1 || info.Bytes != int64(len(b)) {
+		t.Fatalf("info = %+v", info)
+	}
+	if _, again, _ := reg.Add(b); again {
+		t.Fatal("re-upload did not dedupe")
+	}
+	src, closer, err := reg.OpenTrace(info.ID)
+	if err != nil {
+		t.Fatalf("OpenTrace: %v", err)
+	}
+	out, err := trace.Materialize(src)
+	if err != nil {
+		t.Fatalf("Materialize: %v", err)
+	}
+	if err := closer(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if out.Name != "jacobi" || len(out.Iterations) != 1 {
+		t.Fatalf("replayed trace = %s/%d iters", out.Name, len(out.Iterations))
+	}
+
+	v1 := tinyTraceV1(t)
+	if _, _, err := reg.Add(v1); !errors.Is(err, tracestream.ErrNotStream) {
+		t.Fatalf("v1 gob upload: err = %v, want ErrNotStream", err)
+	}
+	if reg.Has(store.BlobID(v1)) {
+		t.Fatal("rejected v1 upload was stored")
 	}
 	if _, _, err := reg.Add([]byte("neither format")); err == nil {
 		t.Fatal("garbage upload accepted")
 	}
 	// Corrupt v2 body: framing-valid prefix damage must be rejected at
 	// upload, not at job time.
-	b := tinyTraceV2(t)
+	b = tinyTraceV2(t)
 	b[len(b)/2] ^= 0xFF
 	if _, _, err := reg.Add(b); err == nil {
 		t.Fatal("corrupted stream accepted")
@@ -220,7 +228,7 @@ func TestTraceUploadAndRunE2E(t *testing.T) {
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("upload status = %d, want 201", resp.StatusCode)
 	}
-	if !store.ValidBlobID(info.ID) || info.Format != 2 {
+	if !store.ValidBlobID(info.ID) || info.Name != "jacobi" {
 		t.Fatalf("upload info = %+v", info)
 	}
 
@@ -259,6 +267,45 @@ func TestTraceUploadAndRunE2E(t *testing.T) {
 
 	if resp3, _ := postJob(t, url, JobSpec{TraceID: store.BlobID([]byte("missing"))}); resp3.StatusCode != http.StatusNotFound {
 		t.Fatalf("dangling trace_id submit status = %d, want 404", resp3.StatusCode)
+	}
+}
+
+// TestV1GobRejected: v1 gob bytes fail cleanly on every daemon input
+// path — an HTTP upload is a 400, and a blob an older daemon stored makes
+// Info and OpenTrace error and a trace_id job on it fail without a panic.
+func TestV1GobRejected(t *testing.T) {
+	url, reg := newTraceTestServer(t, t.TempDir())
+	v1 := tinyTraceV1(t)
+
+	resp, err := http.Post(url+"/v1/traces", "application/octet-stream", bytes.NewReader(v1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("v1 gob upload status = %d, want 400", resp.StatusCode)
+	}
+
+	// An older daemon accepted v1 uploads: the blob may already be stored.
+	id, _, err := reg.blobs.Put(v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Info(id); !errors.Is(err, tracestream.ErrNotStream) {
+		t.Fatalf("Info on v1 blob: err = %v, want ErrNotStream", err)
+	}
+	if _, _, err := reg.OpenTrace(id); !errors.Is(err, tracestream.ErrNotStream) {
+		t.Fatalf("OpenTrace on v1 blob: err = %v, want ErrNotStream", err)
+	}
+	if code, body := getBody(t, url+"/v1/traces/"+id); code != http.StatusInternalServerError {
+		t.Fatalf("v1 blob info status = %d: %s", code, body)
+	}
+	resp2, st := postJob(t, url, JobSpec{TraceID: id})
+	if resp2.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit status = %d", resp2.StatusCode)
+	}
+	if stages := followSSE(t, url, st.ID); stages[len(stages)-1] != StateFailed {
+		t.Fatalf("v1 blob job stages = %v, want it to end %s", stages, StateFailed)
 	}
 }
 

@@ -89,8 +89,8 @@ func (s *SliceSource) Reset() error {
 }
 
 // Materialize drains a source into a fully in-memory Trace, deep-copying
-// each window (sources reuse buffers). It is the v2→v1 conversion core
-// and is only sensible for traces that fit in memory.
+// each window (sources reuse buffers). It backs the whole-trace analysis
+// verbs and is only sensible for traces that fit in memory.
 func Materialize(src IterationSource) (*Trace, error) {
 	if err := src.Reset(); err != nil {
 		return nil, err

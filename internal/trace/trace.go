@@ -74,19 +74,6 @@ func (t *Trace) Validate() error {
 	return nil
 }
 
-// CheckBounds rejects traces whose top-level counts are beyond anything
-// this suite legitimately produces — the first line of defense when
-// decoding untrusted inputs, run before the O(stores) validation walk.
-func (t *Trace) CheckBounds() error {
-	if t.NumGPUs > MaxGPUs {
-		return fmt.Errorf("trace %q: %d GPUs exceeds limit %d", t.Name, t.NumGPUs, MaxGPUs)
-	}
-	if len(t.Iterations) > MaxLoadIterations {
-		return fmt.Errorf("trace %q: %d iterations exceeds limit %d", t.Name, len(t.Iterations), MaxLoadIterations)
-	}
-	return nil
-}
-
 // ValidateIn checks one iteration's structural consistency within a trace
 // of numGPUs GPUs; name and idx only label errors. Streaming sources call
 // this per decoded window, so a corrupt or hostile iteration errors out

@@ -1,8 +1,6 @@
 package tracestream
 
 import (
-	"errors"
-	"fmt"
 	"io"
 	"os"
 
@@ -36,7 +34,7 @@ func CopySource(w io.Writer, src trace.IterationSource) error {
 	return sw.Close()
 }
 
-// WriteTrace saves a materialized v1 trace as a v2 stream.
+// WriteTrace saves a materialized trace as a v2 stream.
 func WriteTrace(w io.Writer, tr *trace.Trace) error {
 	return CopySource(w, trace.NewSliceSource(tr))
 }
@@ -59,23 +57,4 @@ func WriteFile(path string, src trace.IterationSource) error {
 		return err
 	}
 	return nil
-}
-
-// OpenSource opens path as an iteration source whatever its format: a v2
-// chunked stream is streamed (O(window) memory, the large-trace path),
-// and a v1 gob trace is fully loaded then adapted. The returned closer
-// releases the v2 file handle (a no-op func for v1).
-func OpenSource(path string) (trace.IterationSource, func() error, error) {
-	f, err := OpenFile(path)
-	if err == nil {
-		return f.Source(), f.Close, nil
-	}
-	if !errors.Is(err, ErrNotStream) {
-		return nil, nil, err
-	}
-	tr, err := trace.LoadFile(path)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%s: not a v2 stream and not a v1 trace: %w", path, err)
-	}
-	return trace.NewSliceSource(tr), func() error { return nil }, nil
 }

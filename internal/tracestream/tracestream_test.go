@@ -2,8 +2,11 @@ package tracestream
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -126,19 +129,30 @@ func TestIterInfo(t *testing.T) {
 	}
 }
 
-// TestNotStream: v1 gob input and junk must return ErrNotStream, so
-// callers can fall back.
+// gobV1 renders tr in the retired v1 encoding — a gob-encoded format tag
+// followed by the gob-encoded Trace — the bytes an old file still holds.
+func gobV1(t *testing.T, tr *trace.Trace) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := gob.NewEncoder(&buf)
+	if err := enc.Encode("finepack-trace-v1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Encode(tr); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestNotStream: v1 gob input and junk must return ErrNotStream.
 func TestNotStream(t *testing.T) {
 	tr, err := workloads.NewJacobi().Generate(2, workloads.Params{Iterations: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var v1 bytes.Buffer
-	if err := tr.Save(&v1); err != nil {
-		t.Fatal(err)
-	}
+	v1 := gobV1(t, tr)
 	for name, b := range map[string][]byte{
-		"v1-gob": v1.Bytes(),
+		"v1-gob": v1,
 		"junk":   bytes.Repeat([]byte{0xAB}, 256),
 		"empty":  nil,
 	} {
@@ -311,37 +325,41 @@ func TestWriterRejectsInvalid(t *testing.T) {
 	}
 }
 
-// TestOpenSourceFallback: OpenSource must stream v2 files and fall back
-// to v1 gob files transparently.
+// TestOpenSourceFallback: there is no v1 fallback. OpenFile streams a v2
+// file and rejects a v1 gob file with an ErrNotStream-wrapped error.
 func TestOpenSourceFallback(t *testing.T) {
 	tr, err := workloads.NewJacobi().Generate(2, workloads.Params{Iterations: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	v1 := dir + "/t.v1"
-	if err := tr.SaveFile(v1); err != nil {
+	v1 := filepath.Join(dir, "t.v1")
+	if err := os.WriteFile(v1, gobV1(t, tr), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	v2 := dir + "/t.v2"
+	if f, err := OpenFile(v1); !errors.Is(err, ErrNotStream) {
+		if err == nil {
+			f.Close()
+		}
+		t.Fatalf("OpenFile(v1 gob) err = %v, want ErrNotStream", err)
+	}
+	v2 := filepath.Join(dir, "t.v2")
 	if err := WriteFile(v2, trace.NewSliceSource(tr)); err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range []string{v1, v2} {
-		src, closer, err := OpenSource(path)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		got, err := trace.Materialize(src)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		if err := closer(); err != nil {
-			t.Fatalf("%s: close: %v", path, err)
-		}
-		if !reflect.DeepEqual(tr, got) {
-			t.Fatalf("%s: differs from original", path)
-		}
+	f, err := OpenFile(v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := trace.Materialize(f.Source())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(tr, got) {
+		t.Fatal("v2 file differs from original")
 	}
 }
 
