@@ -3,8 +3,8 @@
 //
 //	finepack-sim [flags] <experiment>
 //
-// Experiments: fig2 fig4 fig9 fig10 fig11 fig12 fig13 tab2 alt-design wc
-// gps scale16 ber-sweep observe all
+// Every section of the report (experiments.Catalogue) is a verb; run
+// without arguments for the full list.
 package main
 
 import (
@@ -156,89 +156,90 @@ func parseDegrade(spec string) (faults.Degradation, error) {
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, `usage: finepack-sim [flags] <experiment>
-
-experiments:
-  fig2        goodput vs transfer size (PCIe, NVLink)
-  fig4        remote store size mix egressing L1
-  fig9        4-GPU speedup: p2p / dma / finepack / infinite
-  fig10       wire-byte breakdown normalized to DMA
-  fig11       stores aggregated per FinePack packet
-  fig12       sub-header byte sensitivity (2-6B)
-  fig13       bandwidth sensitivity (PCIe 4/5/6, infinite)
-  tab2        sub-header tradeoff table
-  alt-design  config-packet alternate design comparison
-  wc          FinePack vs write-combining-alone wire bytes
-  gps         FinePack vs GPS-like comparator
-  scale16     16 GPUs on PCIe 6.0
-  ablations   queue-capacity / open-window / flush-timeout sweeps
-  nvlink-fp   FinePack efficiency on a flit-based (NVLink-class) link
-  overlap     compute/communication overlap decomposition
-  um          UM page-migration / remote-read baselines (§II-A)
-  scaling     strong-scaling curve: geomean speedup at 2/4/8/16 GPUs
-  ber-sweep   robustness crossover: slowdown & replays vs link bit-error rate
-  observe     one instrumented run; write -trace-json / -metrics-out /
-              -timeline-svg artifacts (workload/paradigm via -trace-workload,
-              -trace-paradigm)
-  stream      one run fed from a trace file or synthesis profile
-              (-stream-trace / -stream-synth, paradigm via -stream-paradigm);
-              streams in O(window) memory
-  topo-crossover  goodput vs store fanout on a hierarchical multi-hop
-              fabric while a ring AllReduce shares it (default -topo pod4x8)
-  collective  one synthesized collective (ring/tree AllReduce, fused GEMM)
-              under p2p and finepack, honoring -topo
-  report      one self-contained markdown report with every experiment
-  diag        raw per-run quantities for every workload and paradigm
-  all         everything above
-
-flags:
-`)
+	writeUsage(os.Stderr)
 	flag.PrintDefaults()
 }
 
-func run(s *experiments.Suite, name string) error {
-	exps := map[string]func(*experiments.Suite) error{
-		"fig2":           showFig2,
-		"fig4":           showFig4,
-		"fig9":           showFig9,
-		"fig10":          showFig10,
-		"fig11":          showFig11,
-		"fig12":          showFig12,
-		"fig13":          showFig13,
-		"tab2":           showTab2,
-		"alt-design":     showAltDesign,
-		"wc":             showWC,
-		"gps":            showGPS,
-		"scale16":        showScale16,
-		"diag":           showDiag,
-		"ablations":      showAblations,
-		"nvlink-fp":      showNVLinkFP,
-		"overlap":        showOverlap,
-		"um":             showUM,
-		"scaling":        showScaling,
-		"ber-sweep":      showBERSweep,
-		"observe":        showObserve,
-		"stream":         showStream,
-		"report":         showReport,
-		"topo-crossover": showTopoCrossover,
-		"collective":     showCollective,
+// writeUsage lists every verb: the catalogue entries in report order, the
+// CLI-only extras, then the verbs driven by their own flags.
+func writeUsage(w io.Writer) {
+	fmt.Fprint(w, "usage: finepack-sim [flags] <experiment>\n\nexperiments (the report's sections, in order):\n")
+	for _, e := range experiments.Catalogue() {
+		fmt.Fprintf(w, "  %-22s %s\n", e.Name, e.Heading)
 	}
-	if name == "all" {
-		for _, n := range []string{
-			"fig2", "fig4", "fig9", "fig10", "fig11", "fig12", "fig13",
-			"tab2", "alt-design", "wc", "gps", "scale16", "ablations",
-			"nvlink-fp", "overlap", "um", "scaling",
-		} {
-			if err := exps[n](s); err != nil {
-				return fmt.Errorf("%s: %w", n, err)
+	fmt.Fprint(w, "\nother experiments:\n")
+	for _, e := range experiments.Extras() {
+		fmt.Fprintf(w, "  %-22s %s\n", e.Name, e.Heading)
+	}
+	fmt.Fprint(w, `  all                    every report section above, in order
+  ablations              the three ablation-* sweeps
+  report                 one self-contained markdown report of every section
+  observe                one instrumented run; write -trace-json / -metrics-out /
+                         -timeline-svg artifacts (workload/paradigm via
+                         -trace-workload, -trace-paradigm)
+  stream                 one run fed from a trace file or synthesis profile
+                         (-stream-trace / -stream-synth, paradigm via
+                         -stream-paradigm); streams in O(window) memory
+  topo-crossover         goodput vs store fanout on a hierarchical multi-hop fabric
+                         while a ring AllReduce shares it (default -topo pod4x8)
+  collective             one synthesized collective (ring/tree AllReduce, fused
+                         GEMM) under p2p and finepack, honoring -topo
+
+flags:
+`)
+}
+
+// flagVerbs are the verbs outside the catalogue; each reads its own flags.
+var flagVerbs = map[string]func(*experiments.Suite) error{
+	"report":         func(s *experiments.Suite) error { return s.WriteReport(os.Stdout) },
+	"observe":        showObserve,
+	"stream":         showStream,
+	"topo-crossover": showTopoCrossover,
+	"collective":     showCollective,
+}
+
+// resolve maps a verb to what it runs, without running anything: a
+// flag-driven verb, or the entries it selects — one by name, every
+// catalogue entry for `all`, the ablation-* entries for `ablations`.
+func resolve(name string) (func(*experiments.Suite) error, error) {
+	if f, ok := flagVerbs[name]; ok {
+		return f, nil
+	}
+	var picked []experiments.Entry
+	for _, e := range experiments.Catalogue() {
+		if name == e.Name || name == "all" || name == "ablations" && strings.HasPrefix(e.Name, "ablation-") {
+			picked = append(picked, e)
+		}
+	}
+	for _, e := range experiments.Extras() {
+		if name == e.Name {
+			picked = append(picked, e)
+		}
+	}
+	if len(picked) == 0 {
+		return nil, fmt.Errorf("unknown experiment %q", name)
+	}
+	return func(s *experiments.Suite) error {
+		for i, e := range picked {
+			if i > 0 {
+				fmt.Println()
 			}
-			fmt.Println()
+			out, err := e.Run(s)
+			if err == nil {
+				err = emit(e.Name, out)
+			}
+			if err != nil {
+				return fmt.Errorf("%s: %w", e.Name, err)
+			}
 		}
 		return nil
-	}
-	f, ok := exps[name]
-	if !ok {
-		return fmt.Errorf("unknown experiment %q", name)
+	}, nil
+}
+
+func run(s *experiments.Suite, name string) error {
+	f, err := resolve(name)
+	if err != nil {
+		return err
 	}
 	return f(s)
 }
@@ -252,11 +253,8 @@ var (
 	svgDir  string
 )
 
-// writeSVG renders a figure into svgDir when -svg is set.
+// writeSVG renders a figure into svgDir.
 func writeSVG(name string, render func(io.Writer) error) error {
-	if svgDir == "" {
-		return nil
-	}
 	if err := os.MkdirAll(svgDir, 0o755); err != nil {
 		return err
 	}
@@ -281,248 +279,26 @@ func render(t *stats.Table) error {
 	return nil
 }
 
-// emit prints either the rendered table or a JSON document with the raw
-// experiment data, depending on the -json flag.
-func emit(name string, data any, t *stats.Table) error {
+// emit writes one experiment's output: its SVG into -svg DIR, then either
+// a JSON document with the raw data (-json) or the rendered table, then
+// the bar chart when -chart asks for one.
+func emit(name string, out experiments.Output) error {
+	if out.SVG != nil && svgDir != "" {
+		if err := writeSVG(name, out.SVG); err != nil {
+			return err
+		}
+	}
 	if jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		return enc.Encode(map[string]any{"experiment": name, "data": data})
-	}
-	return render(t)
-}
-
-func showFig2(*experiments.Suite) error {
-	points := experiments.Fig2()
-	if err := writeSVG("fig2", func(w io.Writer) error {
-		return experiments.Fig2SVG(points, w)
-	}); err != nil {
-		return err
-	}
-	return emit("fig2", points, experiments.Fig2Table(points))
-}
-
-func showFig4(s *experiments.Suite) error {
-	rows, err := s.Fig4()
-	if err != nil {
-		return err
-	}
-	if err := writeSVG("fig4", func(w io.Writer) error {
-		return experiments.Fig4SVG(rows, w)
-	}); err != nil {
-		return err
-	}
-	return emit("fig4", rows, experiments.Fig4Table(rows))
-}
-
-func showFig9(s *experiments.Suite) error {
-	rows, geo, err := s.Fig9()
-	if err != nil {
-		return err
-	}
-	if err := writeSVG("fig9", func(w io.Writer) error {
-		return experiments.Fig9SVG(rows, w)
-	}); err != nil {
-		return err
-	}
-	if err := emit("fig9", map[string]any{"rows": rows, "geomean": geo},
-		experiments.Fig9Table(rows, geo)); err != nil {
-		return err
-	}
-	if chart {
-		c := stats.NewBarChart("Fig 9 (finepack bars)", 50)
-		for _, r := range rows {
-			c.Add(r.Workload, r.Speedup[sim.FinePack])
+		if err := enc.Encode(map[string]any{"experiment": name, "data": out.Data}); err != nil {
+			return err
 		}
-		c.Render(os.Stdout)
+	} else if err := render(out.Table); err != nil {
+		return err
+	}
+	if chart && out.Chart != nil {
+		out.Chart.Render(os.Stdout)
 	}
 	return nil
-}
-
-func showFig10(s *experiments.Suite) error {
-	rows, err := s.Fig10()
-	if err != nil {
-		return err
-	}
-	if err := writeSVG("fig10", func(w io.Writer) error {
-		return experiments.Fig10SVG(rows, w)
-	}); err != nil {
-		return err
-	}
-	return emit("fig10", rows, experiments.Fig10Table(rows))
-}
-
-func showFig11(s *experiments.Suite) error {
-	rows, mean, err := s.Fig11()
-	if err != nil {
-		return err
-	}
-	if err := writeSVG("fig11", func(w io.Writer) error {
-		return experiments.Fig11SVG(rows, w)
-	}); err != nil {
-		return err
-	}
-	if err := emit("fig11", map[string]any{"rows": rows, "mean": mean},
-		experiments.Fig11Table(rows, mean)); err != nil {
-		return err
-	}
-	if chart {
-		c := stats.NewBarChart("Fig 11 (stores/packet)", 50)
-		for _, r := range rows {
-			c.Add(r.Workload, r.StoresPerPacket)
-		}
-		c.Render(os.Stdout)
-	}
-	return nil
-}
-
-func showFig12(s *experiments.Suite) error {
-	rows, geo, err := s.Fig12()
-	if err != nil {
-		return err
-	}
-	if err := writeSVG("fig12", func(w io.Writer) error {
-		return experiments.Fig12SVG(rows, w)
-	}); err != nil {
-		return err
-	}
-	return emit("fig12", map[string]any{"rows": rows, "geomean": geo},
-		experiments.Fig12Table(rows, geo))
-}
-
-func showFig13(s *experiments.Suite) error {
-	rows, err := s.Fig13()
-	if err != nil {
-		return err
-	}
-	if err := writeSVG("fig13", func(w io.Writer) error {
-		return experiments.Fig13SVG(rows, w)
-	}); err != nil {
-		return err
-	}
-	return emit("fig13", rows, experiments.Fig13Table(rows))
-}
-
-func showTab2(*experiments.Suite) error {
-	return emit("tab2", experiments.Tab2Rows(), experiments.Tab2Table())
-}
-
-func showAltDesign(s *experiments.Suite) error {
-	rows, err := s.AltDesign()
-	if err != nil {
-		return err
-	}
-	return emit("alt-design", rows, experiments.AltDesignTable(rows))
-}
-
-func showWC(s *experiments.Suite) error {
-	rows, overall, err := s.WCCompare()
-	if err != nil {
-		return err
-	}
-	return emit("wc", map[string]any{"rows": rows, "overallReductionPc": overall},
-		experiments.WCTable(rows, overall))
-}
-
-func showGPS(s *experiments.Suite) error {
-	rows, ratio, err := s.GPSCompare()
-	if err != nil {
-		return err
-	}
-	return emit("gps", map[string]any{"rows": rows, "fpOverGPS": ratio},
-		experiments.GPSTable(rows, ratio))
-}
-
-func showAblations(s *experiments.Suite) error {
-	entries, err := s.AblationQueueEntries()
-	if err != nil {
-		return err
-	}
-	if err := emit("ablation-entries", entries, experiments.AblationTable(
-		"Ablation: remote write queue entries per partition (§VI-B future work)", entries)); err != nil {
-		return err
-	}
-	fmt.Println()
-	windows, err := s.AblationOpenWindows()
-	if err != nil {
-		return err
-	}
-	if err := emit("ablation-windows", windows, experiments.AblationTable(
-		"Ablation: open outer transactions per destination (§IV-C)", windows)); err != nil {
-		return err
-	}
-	fmt.Println()
-	timeouts, err := s.AblationFlushTimeout()
-	if err != nil {
-		return err
-	}
-	return emit("ablation-timeout", timeouts, experiments.AblationTable(
-		"Ablation: inactivity-timeout flush (§IV-B)", timeouts))
-}
-
-func showNVLinkFP(*experiments.Suite) error {
-	rows := experiments.NVLinkFinePack()
-	return emit("nvlink-fp", rows, experiments.NVLinkFinePackTable(rows))
-}
-
-func showOverlap(s *experiments.Suite) error {
-	rows, err := s.Overlap()
-	if err != nil {
-		return err
-	}
-	return emit("overlap", rows, experiments.OverlapTable(rows))
-}
-
-func showUM(s *experiments.Suite) error {
-	rows, err := s.UMCompare()
-	if err != nil {
-		return err
-	}
-	return emit("um", rows, experiments.UMTable(rows))
-}
-
-func showScaling(s *experiments.Suite) error {
-	rows, err := s.Scaling()
-	if err != nil {
-		return err
-	}
-	if err := writeSVG("scaling", func(w io.Writer) error {
-		return experiments.ScalingSVG(rows, w)
-	}); err != nil {
-		return err
-	}
-	return emit("scaling", rows, experiments.ScalingTable(rows))
-}
-
-func showBERSweep(s *experiments.Suite) error {
-	rows, err := s.BERSweep(nil)
-	if err != nil {
-		return err
-	}
-	if err := writeSVG("ber-sweep", func(w io.Writer) error {
-		return experiments.BERSweepSVG(rows, w)
-	}); err != nil {
-		return err
-	}
-	return emit("ber-sweep", rows, experiments.BERSweepTable(rows))
-}
-
-func showReport(s *experiments.Suite) error {
-	return s.WriteReport(os.Stdout)
-}
-
-func showDiag(s *experiments.Suite) error {
-	rows, err := s.Diag()
-	if err != nil {
-		return err
-	}
-	return emit("diag", rows, experiments.DiagTable(rows))
-}
-
-func showScale16(s *experiments.Suite) error {
-	res, err := s.Scale16()
-	if err != nil {
-		return err
-	}
-	return emit("scale16", res, experiments.Scale16Table(res))
 }

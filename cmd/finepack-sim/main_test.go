@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -39,6 +40,35 @@ func TestSVGOutput(t *testing.T) {
 func TestRunUnknownExperiment(t *testing.T) {
 	if err := run(experiments.Quick(), "fig99"); err == nil {
 		t.Fatal("unknown experiment accepted")
+	}
+}
+
+// TestUsageListsEveryEntry: usage renders from the catalogue, so every
+// entry shows up by name.
+func TestUsageListsEveryEntry(t *testing.T) {
+	var buf bytes.Buffer
+	writeUsage(&buf)
+	for _, e := range append(experiments.Catalogue(), experiments.Extras()...) {
+		if !strings.Contains(buf.String(), "  "+e.Name+" ") {
+			t.Errorf("usage does not list %q", e.Name)
+		}
+	}
+}
+
+// TestResolveEveryVerb resolves, without running, every catalogue and
+// extra entry, the multi-entry verbs and the flag-driven verbs.
+func TestResolveEveryVerb(t *testing.T) {
+	verbs := []string{"all", "ablations"}
+	for _, e := range append(experiments.Catalogue(), experiments.Extras()...) {
+		verbs = append(verbs, e.Name)
+	}
+	for name := range flagVerbs {
+		verbs = append(verbs, name)
+	}
+	for _, name := range verbs {
+		if f, err := resolve(name); err != nil || f == nil {
+			t.Errorf("resolve(%q) = %v", name, err)
+		}
 	}
 }
 

@@ -81,5 +81,5 @@ func showStream(*experiments.Suite) error {
 		"paradigm", "time", "speedup", "wire bytes", "packets")
 	t.AddRow(par.String(), res.Time.String(),
 		fmt.Sprintf("%.2fx", res.Speedup()), res.WireBytes, res.Packets)
-	return emit("stream", res, t)
+	return emit("stream", experiments.Output{Data: res, Table: t})
 }

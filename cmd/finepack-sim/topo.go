@@ -103,12 +103,8 @@ func showTopoCrossover(s *experiments.Suite) error {
 	if err != nil {
 		return err
 	}
-	if err := writeSVG("topo-crossover", func(w io.Writer) error {
-		return experiments.TopoCrossoverSVG(rows, w)
-	}); err != nil {
-		return err
-	}
-	return emit("topo-crossover", rows, experiments.TopoCrossoverTable(rows))
+	return emit("topo-crossover", experiments.Output{Data: rows, Table: experiments.TopoCrossoverTable(rows),
+		SVG: func(w io.Writer) error { return experiments.TopoCrossoverSVG(rows, w) }})
 }
 
 // showCollective synthesizes one collective-communication workload and
@@ -168,5 +164,5 @@ func showCollective(s *experiments.Suite) error {
 		}
 		t.AddRow(cells...)
 	}
-	return emit("collective", results, t)
+	return emit("collective", experiments.Output{Data: results, Table: t})
 }

@@ -269,3 +269,35 @@ func TestBEHelpers(t *testing.T) {
 // pcieDWPad mirrors pcie.PadToDW without importing it into the test's
 // hot path assertions.
 func pcieDWPad(n int) int { return (n + 3) / 4 * 4 }
+
+// TestNewStorePacket: the uncoalesced store path rejects malformed stores,
+// copies the payload out of the store (so later writes to the source do
+// not reach the wire), and carries the synthesized filler bytes of an
+// accounting-only store.
+func TestNewStorePacket(t *testing.T) {
+	cfg := DefaultConfig()
+	if _, err := NewStorePacket(cfg, Store{Dst: 1, Addr: 0x40, Size: 0}); err == nil {
+		t.Fatal("zero-size store accepted")
+	}
+	src := []byte{1, 2, 3, 4}
+	p, err := NewStorePacket(cfg, Store{Dst: 2, Addr: 0x1004, Size: 4, Data: src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src[0] = 9
+	want := NewPlainPacket(cfg, 2, 0x1004, []byte{1, 2, 3, 4})
+	if !bytes.Equal(p.Subs[0].Data, want.Subs[0].Data) || p.WireBytes != want.WireBytes ||
+		p.BaseAddr != want.BaseAddr || p.Dst != want.Dst || !p.Plain {
+		t.Fatalf("packet %+v, want %+v", p, want)
+	}
+	nilData := Store{Dst: 1, Addr: 0x2008, Size: 8}
+	p, err = NewStorePacket(cfg, nilData)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range p.Subs[0].Data {
+		if b != nilData.Byte(i) {
+			t.Fatalf("byte %d = %#x, want filler %#x", i, b, nilData.Byte(i))
+		}
+	}
+}

@@ -128,6 +128,20 @@ func NewPlainPacket(cfg Config, dst int, addr uint64, data []byte) *Packet {
 	return p
 }
 
+// NewStorePacket validates s and builds the plain write that carries it
+// alone, with its payload copied out of s: the uncoalesced egress of P2P
+// stores and of every paradigm's atomics.
+func NewStorePacket(cfg Config, s Store) (*Packet, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	data := make([]byte, s.Size)
+	for i := range data {
+		data[i] = s.Byte(i)
+	}
+	return NewPlainPacket(cfg, s.Dst, s.Addr, data), nil
+}
+
 // Depacketize reverses the packetizer: it expands a packet into the
 // individual store transactions the destination GPU's memory system
 // consumes, adding each sub-packet's offset to the outer base address

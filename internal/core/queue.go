@@ -406,11 +406,12 @@ func (q *Queue) LoadConflict(dst int, addr uint64, size int) bool {
 // reconfigurable atomic buffering [9]) the atomic enters the queue like a
 // normal store.
 func (q *Queue) Atomic(s Store) error {
-	if err := s.Validate(); err != nil {
-		return err
-	}
 	if q.cfg.CoalesceAtomics {
 		return q.Write(s)
+	}
+	pkt, err := NewStorePacket(q.cfg, s)
+	if err != nil {
+		return err
 	}
 	p, ok := q.parts[s.Dst]
 	if ok {
@@ -421,11 +422,6 @@ func (q *Queue) Atomic(s Store) error {
 			}
 		}
 	}
-	data := make([]byte, s.Size)
-	for i := range data {
-		data[i] = s.Byte(i)
-	}
-	pkt := NewPlainPacket(q.cfg, s.Dst, s.Addr, data)
 	pkt.Cause = CauseAtomic
 	q.stats.PlainPackets++
 	q.accountWire(pkt)

@@ -65,22 +65,6 @@ func (s *Suite) BERSweep(bers []float64) ([]BERRow, error) {
 		jobs = append(jobs, s.suiteJobs(s.NumGPUs, cfg, BERSweepParadigms()...)...)
 	}
 	s.warmRuns(context.Background(), jobs)
-	// Error-free baselines per (workload, paradigm).
-	base := make(map[resultKey]*sim.Result) // reuse key type for convenience
-	baseline := func(name string, par sim.Paradigm) (*sim.Result, error) {
-		k := resultKey{name: name, paradigm: par}
-		if r, ok := base[k]; ok {
-			return r, nil
-		}
-		cfg := s.Cfg
-		cfg.Faults.BER = 0
-		r, err := s.runWith(name, s.NumGPUs, par, cfg)
-		if err == nil {
-			base[k] = r
-		}
-		return r, err
-	}
-
 	var rows []BERRow
 	for _, ber := range bers {
 		row := BERRow{
@@ -97,7 +81,7 @@ func (s *Suite) BERSweep(bers []float64) ([]BERRow, error) {
 			var slowdowns []float64
 			var wire, raw core.Bytes
 			for _, name := range s.Workloads() {
-				ref, err := baseline(name, par)
+				ref, err := s.runWith(name, s.NumGPUs, par, baseCfg)
 				if err != nil {
 					return nil, err
 				}

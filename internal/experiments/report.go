@@ -4,9 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-
-	"finepack/internal/stats"
-	"finepack/internal/topo"
 )
 
 // WriteReport runs every experiment and writes one self-contained markdown
@@ -29,161 +26,18 @@ func (s *Suite) WriteReportContext(ctx context.Context, w io.Writer) error {
 	fmt.Fprintf(w, "Workloads at scale %.2f, %d iterations, seed %d.\n\n",
 		s.Params.Scale, s.Params.Iterations, s.Params.Seed)
 
-	// Each section closure runs one experiment sweep and returns its
-	// rendered table; the loop below is the only writer, so section order
-	// — and therefore output bytes — cannot drift from the serial path.
-	type section struct {
-		title string
-		table func() (*stats.Table, error)
-	}
-	sections := []section{
-		{"Fig 2 — goodput vs transfer size", func() (*stats.Table, error) {
-			return Fig2Table(Fig2()), nil
-		}},
-		{"Fig 4 — store sizes egressing L1", func() (*stats.Table, error) {
-			rows, err := s.Fig4()
-			if err != nil {
-				return nil, err
-			}
-			return Fig4Table(rows), nil
-		}},
-		{"Fig 9 — 4-GPU strong scaling", func() (*stats.Table, error) {
-			rows, geo, err := s.Fig9()
-			if err != nil {
-				return nil, err
-			}
-			return Fig9Table(rows, geo), nil
-		}},
-		{"Fig 10 — wire-byte breakdown", func() (*stats.Table, error) {
-			rows, err := s.Fig10()
-			if err != nil {
-				return nil, err
-			}
-			return Fig10Table(rows), nil
-		}},
-		{"Fig 11 — stores per packet", func() (*stats.Table, error) {
-			rows, mean, err := s.Fig11()
-			if err != nil {
-				return nil, err
-			}
-			return Fig11Table(rows, mean), nil
-		}},
-		{"Fig 12 — sub-header sensitivity", func() (*stats.Table, error) {
-			rows, geo, err := s.Fig12()
-			if err != nil {
-				return nil, err
-			}
-			return Fig12Table(rows, geo), nil
-		}},
-		{"Fig 13 — bandwidth sensitivity", func() (*stats.Table, error) {
-			rows, err := s.Fig13()
-			if err != nil {
-				return nil, err
-			}
-			return Fig13Table(rows), nil
-		}},
-		{"Table II — sub-header tradeoff", func() (*stats.Table, error) {
-			return Tab2Table(), nil
-		}},
-		{"§VI-B — config-packet alternate design", func() (*stats.Table, error) {
-			rows, err := s.AltDesign()
-			if err != nil {
-				return nil, err
-			}
-			return AltDesignTable(rows), nil
-		}},
-		{"§VI-A — write combining alone", func() (*stats.Table, error) {
-			rows, overall, err := s.WCCompare()
-			if err != nil {
-				return nil, err
-			}
-			return WCTable(rows, overall), nil
-		}},
-		{"§VI-B — GPS-like comparator", func() (*stats.Table, error) {
-			rows, ratio, err := s.GPSCompare()
-			if err != nil {
-				return nil, err
-			}
-			return GPSTable(rows, ratio), nil
-		}},
-		{"§VI-B — 16 GPUs on PCIe 6.0", func() (*stats.Table, error) {
-			res, err := s.Scale16()
-			if err != nil {
-				return nil, err
-			}
-			return Scale16Table(res), nil
-		}},
-		{"§II-A — UM / remote-read baselines", func() (*stats.Table, error) {
-			rows, err := s.UMCompare()
-			if err != nil {
-				return nil, err
-			}
-			return UMTable(rows), nil
-		}},
-		{"Overlap decomposition", func() (*stats.Table, error) {
-			rows, err := s.Overlap()
-			if err != nil {
-				return nil, err
-			}
-			return OverlapTable(rows), nil
-		}},
-		{"Ablation — queue entries", func() (*stats.Table, error) {
-			rows, err := s.AblationQueueEntries()
-			if err != nil {
-				return nil, err
-			}
-			return AblationTable("", rows), nil
-		}},
-		{"Ablation — open windows", func() (*stats.Table, error) {
-			rows, err := s.AblationOpenWindows()
-			if err != nil {
-				return nil, err
-			}
-			return AblationTable("", rows), nil
-		}},
-		{"Ablation — flush timeout", func() (*stats.Table, error) {
-			rows, err := s.AblationFlushTimeout()
-			if err != nil {
-				return nil, err
-			}
-			return AblationTable("", rows), nil
-		}},
-		{"§IV-C — FinePack on a flit-based link", func() (*stats.Table, error) {
-			return NVLinkFinePackTable(NVLinkFinePack()), nil
-		}},
-		{"Strong scaling 2–16 GPUs", func() (*stats.Table, error) {
-			rows, err := s.Scaling()
-			if err != nil {
-				return nil, err
-			}
-			return ScalingTable(rows), nil
-		}},
-		{"Topology crossover — multi-hop goodput", func() (*stats.Table, error) {
-			// dgx2x8 keeps the report tractable; the full 32-GPU pod4x8
-			// sweep runs via `finepack-sim topo-crossover` or a
-			// finepackd topo-crossover job.
-			spec, err := topo.Preset(topo.PresetDGX2x8)
-			if err != nil {
-				return nil, err
-			}
-			rows, err := s.TopoCrossover(spec, []int{1, 4, 15})
-			if err != nil {
-				return nil, err
-			}
-			return TopoCrossoverTable(rows), nil
-		}},
-	}
-
-	for _, sec := range sections {
+	// Sections run one at a time in catalogue order and this loop is the
+	// only writer, so output bytes cannot drift from the serial path.
+	for _, e := range Catalogue() {
 		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("report: canceled before %q: %w", sec.title, err)
+			return fmt.Errorf("report: canceled before %q: %w", e.Heading, err)
 		}
-		t, err := sec.table()
+		out, err := e.Run(s)
 		if err != nil {
-			return fmt.Errorf("report: %s: %w", sec.title, err)
+			return fmt.Errorf("report: %s: %w", e.Heading, err)
 		}
-		fmt.Fprintf(w, "## %s\n\n```\n", sec.title)
-		t.Render(w)
+		fmt.Fprintf(w, "## %s\n\n```\n", e.Heading)
+		out.Table.Render(w)
 		fmt.Fprintf(w, "```\n\n")
 	}
 	return nil

@@ -1,9 +1,9 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
-	"sync"
 
 	"finepack/internal/collective"
 	"finepack/internal/core"
@@ -134,10 +134,6 @@ func (s *Suite) TopoCrossover(spec *topo.Spec, fanouts []int) ([]TopoRow, error)
 		fanouts = DefaultTopoFanouts(gpus)
 	}
 
-	type key struct {
-		fanout int
-		par    sim.Paradigm
-	}
 	type job struct {
 		fanout int
 		par    sim.Paradigm
@@ -148,52 +144,23 @@ func (s *Suite) TopoCrossover(spec *topo.Spec, fanouts []int) ([]TopoRow, error)
 			jobs = append(jobs, job{f, par})
 		}
 	}
-	results := make(map[key]*sim.Result, len(jobs))
-	errs := make(map[key]error, len(jobs))
-	var mu sync.Mutex
-	runOne := func(j job) {
-		src, err := s.topoMixSource(gpus, j.fanout)
-		var res *sim.Result
+	// Each worker writes only its own job's slots.
+	results := make([]*sim.Result, len(jobs))
+	errs := make([]error, len(jobs))
+	s.forEach(context.Background(), len(jobs), func(i int) {
+		src, err := s.topoMixSource(gpus, jobs[i].fanout)
 		if err == nil {
 			cfg := s.Cfg
 			cfg.Topology = spec
-			res, err = sim.RunSource(src, j.par, cfg)
+			results[i], err = sim.RunSource(src, jobs[i].par, cfg)
 		}
-		mu.Lock()
-		results[key{j.fanout, j.par}] = res
-		errs[key{j.fanout, j.par}] = err
-		mu.Unlock()
-	}
-	n := s.parallelism()
-	if n > len(jobs) {
-		n = len(jobs)
-	}
-	if n <= 1 {
-		for _, j := range jobs {
-			runOne(j)
-		}
-	} else {
-		ch := make(chan job)
-		var wg sync.WaitGroup
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for j := range ch {
-					runOne(j)
-				}
-			}()
-		}
-		for _, j := range jobs {
-			ch <- j
-		}
-		close(ch)
-		wg.Wait()
-	}
+		errs[i] = err
+	})
 
-	// Rows assemble serially in fanout/paradigm order from the settled
-	// map, so parallel output is byte-identical to serial.
+	// Rows assemble serially in fanout/paradigm (job) order from the
+	// settled slots, so parallel output is byte-identical to serial.
 	rows := make([]TopoRow, 0, len(fanouts))
+	i := 0
 	for _, f := range fanouts {
 		row := TopoRow{
 			Topology:           spec.Name,
@@ -206,11 +173,11 @@ func (s *Suite) TopoCrossover(spec *topo.Spec, fanouts []int) ([]TopoRow, error)
 			InterNodeHopBytes:  map[sim.Paradigm]core.Bytes{},
 		}
 		for _, par := range TopoCrossoverParadigms() {
-			k := key{f, par}
-			if err := errs[k]; err != nil {
+			if err := errs[i]; err != nil {
 				return nil, fmt.Errorf("experiments: topo crossover fanout %d/%s: %w", f, par, err)
 			}
-			res := results[k]
+			res := results[i]
+			i++
 			row.Time[par] = res.Time
 			row.Goodput[par] = res.Goodput()
 			row.IntraGoodput[par] = res.IntraNodeGoodput()

@@ -151,15 +151,12 @@ type p2pEgress struct {
 }
 
 func (e *p2pEgress) store(st core.Store) error {
-	if err := st.Validate(); err != nil {
+	pkt, err := core.NewStorePacket(e.cfg, st)
+	if err != nil {
 		return err
 	}
-	data := make([]byte, st.Size)
-	for i := range data {
-		data[i] = st.Byte(i)
-	}
 	e.bytesOut += core.Bytes(st.Size)
-	e.s.send(core.NewPlainPacket(e.cfg, st.Dst, st.Addr, data))
+	e.s.send(pkt)
 	return nil
 }
 
@@ -249,14 +246,11 @@ func (e *wcEgress) store(st core.Store) error { return e.wc.Write(st) }
 // atomic bypasses the combining buffer: write combining does not merge
 // atomics either; they egress as individual plain writes.
 func (e *wcEgress) atomic(st core.Store) error {
-	if err := st.Validate(); err != nil {
+	pkt, err := core.NewStorePacket(e.cfg, st)
+	if err != nil {
 		return err
 	}
-	data := make([]byte, st.Size)
-	for i := range data {
-		data[i] = st.Byte(i)
-	}
-	e.s.send(core.NewPlainPacket(e.cfg, st.Dst, st.Addr, data))
+	e.s.send(pkt)
 	return nil
 }
 
@@ -388,14 +382,11 @@ func (e *gpsEgress) store(st core.Store) error { return e.g.Write(st) }
 // atomic bypasses combining and subscription: atomics must reach the
 // destination.
 func (e *gpsEgress) atomic(st core.Store) error {
-	if err := st.Validate(); err != nil {
+	pkt, err := core.NewStorePacket(e.cfg, st)
+	if err != nil {
 		return err
 	}
-	data := make([]byte, st.Size)
-	for i := range data {
-		data[i] = st.Byte(i)
-	}
-	e.s.send(core.NewPlainPacket(e.cfg, st.Dst, st.Addr, data))
+	e.s.send(pkt)
 	return nil
 }
 
