@@ -118,16 +118,18 @@ bench-smoke:
 # snapshot, and diff against the committed baseline. Only allocs/op gates —
 # it is exact and machine-independent, where one iteration's ns/op on a
 # shared CI runner is noise. The default -alloc-slack absorbs warmup-only
-# allocations that a single iteration cannot amortize away (the scheduler's
-# event-slab carve, first-touch bucket growth).
+# allocations that a single iteration cannot amortize away (the event and
+# packet pools' ramp-up, first-touch bucket growth).
 BENCH_BASELINE := BENCH_2026-08-08.json
 BENCH_GATES := BenchmarkSchedulerEvents,BenchmarkFig2Goodput
 # Second gate: the end-to-end hot paths hotalloc polices statically.
-# BenchmarkEndToEndSSSP and BenchmarkFig9Speedup allocs/op are pinned to
-# the PR-7 closure-churn-purge baseline, so an alloc the analyzer misses
-# (or an over-broad //finepack:allow) still fails CI dynamically.
-BENCH_E2E_BASELINE := BENCH_2026-08-08-pr7.json
-BENCH_E2E_GATES := BenchmarkEndToEndSSSP,BenchmarkFig9Speedup
+# BenchmarkEndToEndSSSP, BenchmarkFig9Speedup and the 32-GPU
+# BenchmarkMultiHopAllReduce allocs/op are pinned to the snapshot taken
+# once events, packets and byte masks were recycled within each run, so
+# an alloc the analyzer misses (or an over-broad //finepack:allow) still
+# fails CI dynamically.
+BENCH_E2E_BASELINE := BENCH_2026-10-17.json
+BENCH_E2E_GATES := BenchmarkEndToEndSSSP,BenchmarkFig9Speedup,BenchmarkMultiHopAllReduce
 bench-compare:
 	mkdir -p .bench
 	go test -run='^$$' -bench='^(BenchmarkSchedulerEvents|BenchmarkFig2Goodput)$$' \
@@ -135,7 +137,7 @@ bench-compare:
 	go run ./cmd/benchjson -date 1970-01-01 < .bench/gate.txt > .bench/gate.json
 	go run ./cmd/benchjson -compare -gate $(BENCH_GATES) -max-regress-pct 10 \
 		$(BENCH_BASELINE) .bench/gate.json
-	go test -run='^$$' -bench='^(BenchmarkEndToEndSSSP|BenchmarkFig9Speedup)$$' \
+	go test -run='^$$' -bench='^(BenchmarkEndToEndSSSP|BenchmarkFig9Speedup|BenchmarkMultiHopAllReduce)$$' \
 		-benchtime=1x -benchmem . | tee .bench/e2e.txt
 	go run ./cmd/benchjson -date 1970-01-01 < .bench/e2e.txt > .bench/e2e.json
 	go run ./cmd/benchjson -compare -gate $(BENCH_E2E_GATES) -max-regress-pct 10 \

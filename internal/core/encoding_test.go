@@ -276,11 +276,12 @@ func pcieDWPad(n int) int { return (n + 3) / 4 * 4 }
 // accounting-only store.
 func TestNewStorePacket(t *testing.T) {
 	cfg := DefaultConfig()
-	if _, err := NewStorePacket(cfg, Store{Dst: 1, Addr: 0x40, Size: 0}); err == nil {
+	var pp *PacketPool // nil: allocate fresh, exactly like a pool miss
+	if _, err := pp.NewStorePacket(cfg, Store{Dst: 1, Addr: 0x40, Size: 0}); err == nil {
 		t.Fatal("zero-size store accepted")
 	}
 	src := []byte{1, 2, 3, 4}
-	p, err := NewStorePacket(cfg, Store{Dst: 2, Addr: 0x1004, Size: 4, Data: src})
+	p, err := pp.NewStorePacket(cfg, Store{Dst: 2, Addr: 0x1004, Size: 4, Data: src})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +292,7 @@ func TestNewStorePacket(t *testing.T) {
 		t.Fatalf("packet %+v, want %+v", p, want)
 	}
 	nilData := Store{Dst: 1, Addr: 0x2008, Size: 8}
-	p, err = NewStorePacket(cfg, nilData)
+	p, err = pp.NewStorePacket(cfg, nilData)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,6 +21,10 @@ import (
 //
 // Emitted packets are delivered to the emit callback in flush order; PCIe
 // keeps TLPs ordered, so same-address ordering is maintained end to end.
+// Packets are drawn from the queue's PacketPool (see UsePacketPool): with
+// none, each is freshly allocated and the callback may keep it; with one,
+// the callback takes ownership and must hand the packet back with
+// PacketPool.Put once it and its payload are no longer read.
 //
 // A Queue is not safe for concurrent use: like the hardware it models it
 // processes one store at a time, and the surrounding discrete-event
@@ -29,14 +33,16 @@ type Queue struct {
 	cfg   Config
 	parts map[int]*partition
 	emit  func(*Packet)
+	pool  *PacketPool
 	stats QueueStats
 
 	// Freelists recycle the structures that churn on every window flush.
 	// Recycled windows keep their entry map (emptied) and order slice;
 	// recycled entries keep their data array — safe because the byte mask
-	// is reset and all reads are mask-gated. Emitted packets and their
-	// payload buffers are NOT recycled: they escape into the interconnect
-	// and destination-side de-packetizer with unknown lifetime.
+	// is reset and all reads are mask-gated. Emitted packets outlive the
+	// flush (they travel the interconnect and the destination's
+	// de-packetizer), so the queue cannot recycle them itself: the emit
+	// callback's owner returns them to the PacketPool.
 	freeWindows []*window
 	freeEntries []*lineEntry
 	runScratch  []Run
@@ -94,6 +100,11 @@ func NewQueue(cfg Config, emit func(*Packet)) (*Queue, error) {
 	}
 	return &Queue{cfg: cfg, parts: make(map[int]*partition), emit: emit}, nil
 }
+
+// UsePacketPool makes the queue draw every emitted packet from pp, which
+// transfers ownership of each packet to the emit callback (see Queue). A
+// nil pool, the default, allocates each packet fresh.
+func (q *Queue) UsePacketPool(pp *PacketPool) { q.pool = pp }
 
 // Config returns the queue's configuration.
 func (q *Queue) Config() Config { return q.cfg }
@@ -409,7 +420,7 @@ func (q *Queue) Atomic(s Store) error {
 	if q.cfg.CoalesceAtomics {
 		return q.Write(s)
 	}
-	pkt, err := NewStorePacket(q.cfg, s)
+	pkt, err := q.pool.NewStorePacket(q.cfg, s)
 	if err != nil {
 		return err
 	}
@@ -513,9 +524,8 @@ func (q *Queue) flushEntry(p *partition, w *window, line uint64, cause FlushCaus
 	// queue without trampling shared scratch space.
 	var runsBuf [CacheLineBytes / 2]Run
 	for _, run := range e.mask.AppendRuns(runsBuf[:0]) {
-		data := make([]byte, run.Len)
-		copy(data, e.data[run.Start:run.Start+run.Len])
-		pkt := NewPlainPacket(q.cfg, p.dst, e.line+uint64(run.Start), data)
+		pkt := q.pool.plain(q.cfg, p.dst, e.line+uint64(run.Start), run.Len)
+		copy(pkt.Subs[0].Data, e.data[run.Start:run.Start+run.Len])
 		pkt.Cause = cause
 		q.stats.PlainPackets++
 		q.accountWire(pkt)
@@ -543,33 +553,46 @@ func (q *Queue) flushEntry(p *partition, w *window, line uint64, cause FlushCaus
 func (q *Queue) flushWindow(p *partition, w *window, cause FlushCause) {
 	q.stats.Flushes[cause]++
 
-	pkt := &Packet{Dst: p.dst, BaseAddr: w.base, Cause: cause}
+	// One buffer carries every sub-packet's payload: payloadUsed bounds
+	// the window's enabled bytes, so one buffer (the pool's, when it is
+	// large enough) replaces one per run. Sub-slices after the first are
+	// capacity-capped so no append through one can reach a neighbour; the
+	// first spans the whole buffer, which is how the pool recovers it.
+	// Fallbacks copy into buffers of their own, so no packet's payload
+	// outlives its owner's return to the pool. No emit happens until
+	// extraction is done, so the shared run scratch cannot be trampled by
+	// reentrant callbacks.
+	pkt, buf := q.pool.get(w.payloadUsed)
+	pkt.Dst = p.dst
+	pkt.BaseAddr = w.base
+	pkt.Cause = cause
 	var fallbacks []*Packet
-	// One backing buffer carries every sub-packet's payload: payloadUsed
-	// bounds the window's enabled bytes, so a single allocation replaces
-	// one per run. Sub-slices are capacity-capped so no append through one
-	// can reach a neighbour. No emit happens until extraction is done, so
-	// the shared run scratch cannot be trampled by reentrant callbacks.
-	buf := make([]byte, 0, w.payloadUsed)
 	for _, line := range w.order {
 		e := w.entries[line]
 		q.runScratch = e.mask.AppendRuns(q.runScratch[:0])
 		for _, run := range q.runScratch {
 			absolute := e.line + uint64(run.Start)
-			start := len(buf)
-			buf = append(buf, e.data[run.Start:run.Start+run.Len]...)
-			data := buf[start:len(buf):len(buf)]
+			src := e.data[run.Start : run.Start+run.Len]
 			offset := absolute - w.base
 			if offset >= q.cfg.AddressableRange() {
-				fb := NewPlainPacket(q.cfg, p.dst, absolute, data)
+				fb := q.pool.plain(q.cfg, p.dst, absolute, run.Len)
+				copy(fb.Subs[0].Data, src)
 				fb.Cause = cause
 				fallbacks = append(fallbacks, fb) //finepack:allow hotalloc -- stays nil except for the rare line that straddles the window end
 				continue
 			}
+			start := len(buf)
+			buf = append(buf, src...)
+			data := buf[start:len(buf):len(buf)]
+			if start == 0 {
+				data = buf
+			}
 			pkt.Subs = append(pkt.Subs, SubPacket{Offset: offset, Data: data})
 		}
 	}
-	if len(pkt.Subs) > 0 {
+	if len(pkt.Subs) == 0 {
+		q.pool.Put(pkt) // every run fell back: nothing to emit
+	} else {
 		pkt.StoresMerged = w.stores
 		pkt.finalize(q.cfg)
 		q.stats.Packets++

@@ -421,3 +421,125 @@ func TestNilEmitDiscards(t *testing.T) {
 		t.Fatal("stats should accumulate even without an emit callback")
 	}
 }
+
+// TestPacketPoolMatchesFreshPackets drives one pseudo-random store stream
+// (plain writes, atomics, entry-only load conflicts, and 64B windows so
+// straddling lines fall back to plain TLPs) through a queue without a pool
+// and through one drawing from a PacketPool. The pooled consumer holds up
+// to eight packets "in flight" before returning each to the pool. Both
+// queues must emit byte-identical wire streams, and a held packet must
+// still encode as it did when emitted — recycling may never reach a
+// packet before it is handed back.
+func TestPacketPoolMatchesFreshPackets(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.SubheaderBytes = 2
+	cfg.LoadFlushEntryOnly = true
+	run := func(pool *PacketPool) [][]byte {
+		var wire [][]byte
+		type held struct {
+			p   *Packet
+			enc []byte
+		}
+		var inFlight []held
+		q, err := NewQueue(cfg, func(p *Packet) {
+			enc, err := EncodePacket(cfg, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wire = append(wire, enc)
+			inFlight = append(inFlight, held{p, enc})
+			if len(inFlight) > 8 {
+				h := inFlight[0]
+				inFlight = inFlight[1:]
+				again, err := EncodePacket(cfg, h.p)
+				if err != nil || string(again) != string(h.enc) {
+					t.Fatalf("held packet changed before its return to the pool")
+				}
+				pool.Put(h.p)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q.UsePacketPool(pool)
+		addr := uint64(0x9e37)
+		for i := 0; i < 5000; i++ {
+			addr = addr*6364136223846793005 + 1442695040888963407
+			st := Store{Dst: int(addr>>40) % 3, Addr: addr % (1 << 16), Size: 1 + int(addr>>32)%64}
+			switch addr >> 60 {
+			case 0:
+				err = q.Atomic(st)
+			case 1:
+				q.LoadConflict(st.Dst, st.Addr, st.Size)
+			default:
+				err = q.Write(st)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		q.FlushAll(CauseDrain)
+		return wire
+	}
+	fresh, pooled := run(nil), run(&PacketPool{})
+	if len(fresh) != len(pooled) {
+		t.Fatalf("pooled queue emitted %d packets, fresh %d", len(pooled), len(fresh))
+	}
+	for i := range fresh {
+		if string(fresh[i]) != string(pooled[i]) {
+			t.Fatalf("packet %d differs on the wire between pooled and fresh queues", i)
+		}
+	}
+}
+
+// TestPacketPoolReusesPayload: a returned packet and its payload buffer
+// serve the next draw of the same size class, a draw of another class
+// never gets them, and a large payload that outgrows a pooled buffer gets
+// one of exactly its size.
+func TestPacketPoolReusesPayload(t *testing.T) {
+	cfg := DefaultConfig()
+	pp := &PacketPool{}
+	draw := func(size int) *Packet {
+		t.Helper()
+		p, err := pp.NewStorePacket(cfg, Store{Dst: 1, Addr: 0x100, Size: size})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	a := draw(64)
+	buf := &a.Subs[0].Data[0]
+	pp.Put(a)
+	b := draw(60)
+	if b != a || &b.Subs[0].Data[0] != buf {
+		t.Fatal("a same-class draw did not reuse the returned packet and its buffer")
+	}
+	if len(b.Subs) != 1 || len(b.Subs[0].Data) != 60 || b.StoresMerged != 1 || !b.Plain {
+		t.Fatalf("recycled packet not rebuilt: %+v", b)
+	}
+	pp.Put(b)
+	if c := draw(4); c == a || cap(c.Subs[0].Data) != 16 {
+		t.Fatalf("a 4B draw got the 64B class's packet or a %dB buffer, want its own 16B one", cap(c.Subs[0].Data))
+	}
+
+	// Payloads beyond one line (window flushes) are sized exactly, in
+	// power-of-two classes.
+	large := func(n int) *Packet {
+		p, buf := pp.get(n)
+		p.Subs = append(p.Subs, SubPacket{Data: buf[:n]})
+		return p
+	}
+	d := large(300)
+	pp.Put(d)
+	e := large(400) // same (256, 512] class, but the 300B buffer is too small
+	if e != d || cap(e.Subs[0].Data) != 400 {
+		t.Fatalf("a 400B draw got cap %d, want the pooled packet with exactly 400B", cap(e.Subs[0].Data))
+	}
+	pp.Put(e)
+	if f := large(260); f != d || cap(f.Subs[0].Data) != 400 {
+		t.Fatalf("a 260B draw did not reuse the 400B buffer (cap %d)", cap(f.Subs[0].Data))
+	}
+	if g := large(200); g == d || cap(g.Subs[0].Data) != 200 {
+		t.Fatal("a 200B draw took a buffer of the (256, 512] class")
+	}
+}

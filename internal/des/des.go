@@ -83,7 +83,10 @@ const (
 )
 
 // Event is a scheduled callback. Events with equal timestamps fire in the
-// order they were scheduled (FIFO), which keeps runs deterministic.
+// order they were scheduled (FIFO), which keeps runs deterministic. The
+// scheduler owns every Event and recycles it once it has fired or its
+// cancellation has been dropped; callers name a scheduled event by the
+// Handle that At returns, never by the *Event itself.
 type Event struct {
 	At  Time
 	Fn  func()
@@ -91,8 +94,32 @@ type Event struct {
 	idx int // heap index, or one of the idx* state markers
 }
 
-// Cancelled reports whether the event was removed before firing.
-func (e *Event) Cancelled() bool { return e.idx == idxCancelled }
+// Handle names one scheduled event, for Cancel. It pairs the event with
+// the seq it was scheduled under: seq is unique per At, so once the
+// scheduler recycles the event for a later At the seqs differ and the
+// handle goes stale. A stale handle is inert — cancelling it is a no-op
+// that cannot reach the event's new occupant. The zero Handle names no
+// event.
+type Handle struct {
+	e   *Event
+	seq uint64
+}
+
+// event returns the handle's event, or nil when the handle is zero or
+// stale.
+func (h Handle) event() *Event {
+	if h.e == nil || h.e.seq != h.seq {
+		return nil
+	}
+	return h.e
+}
+
+// Cancelled reports whether the event was removed before firing. A stale
+// handle (its event already recycled for a later At) reports false.
+func (h Handle) Cancelled() bool {
+	e := h.event()
+	return e != nil && e.idx == idxCancelled
+}
 
 // before reports whether e precedes o in the (At, seq) total firing order.
 func (e *Event) before(o *Event) bool {
@@ -122,7 +149,7 @@ type Scheduler struct {
 	maxT   Time
 	halted bool
 	probe  Probe
-	slab   []Event // bump allocator for events (see newEvent)
+	pool   eventPool
 
 	// Queue implementation. useHeap selects the reference binary heap
 	// (newSchedulerWith(true), used by the equivalence tests); every
@@ -144,21 +171,49 @@ type Scheduler struct {
 	stagedLive int
 }
 
-// eventSlabSize is the bump-allocation block for events. Runs fire tens of
-// millions of events; carving them from slabs cuts the per-event heap
-// allocation to one per block. Events are never reused (pointers handed to
-// callers stay valid forever, so a retained *Event can always be
-// Cancelled safely); a spent slab becomes garbage once the events in it
-// have fired and their callbacks are cleared.
+// eventSlabSize is the bump-allocation block for events. A run's event
+// population only grows to its high-water mark of events outstanding at
+// once; carving that population from slabs cuts the allocations it takes
+// to reach it to one per block.
 const eventSlabSize = 256
 
-// newEvent carves an event from the current slab.
-func (s *Scheduler) newEvent(t Time, fn func()) *Event {
-	if len(s.slab) == 0 {
-		s.slab = make([]Event, eventSlabSize)
+// eventPool is one scheduler's event freelist. An event returns to it once
+// it has fired (before its callback runs, so a callback's own At reuses
+// the slot) or once its cancellation is dropped: eagerly for the heap,
+// when a calendar tombstone is skipped or rebuilt away. Recycling is what
+// makes the steady state allocation-free; Handle's seq check is what
+// keeps it safe for callers that still hold a spent event's handle.
+type eventPool struct {
+	free []*Event
+	slab []Event
+}
+
+// get returns an unused event: the most recently recycled one, else the
+// next slot of the current slab.
+func (p *eventPool) get() *Event {
+	if n := len(p.free); n > 0 {
+		e := p.free[n-1]
+		p.free = p.free[:n-1]
+		return e
 	}
-	e := &s.slab[0]
-	s.slab = s.slab[1:]
+	if len(p.slab) == 0 {
+		p.slab = make([]Event, eventSlabSize)
+	}
+	e := &p.slab[0]
+	p.slab = p.slab[1:]
+	return e
+}
+
+// put recycles a fired or dropped event, releasing its callback so a spent
+// event never pins its captures.
+func (p *eventPool) put(e *Event) {
+	e.Fn = nil
+	p.free = append(p.free, e)
+}
+
+// newEvent draws an event from the pool for fn at t.
+func (s *Scheduler) newEvent(t Time, fn func()) *Event {
+	e := s.pool.get()
 	e.At = t
 	e.Fn = fn
 	e.seq = s.seq
@@ -178,7 +233,7 @@ func newSchedulerWith(useHeap bool) *Scheduler {
 	if useHeap {
 		s.hq = make(eventHeap, 0, 1024)
 	} else {
-		s.cq.init()
+		s.cq.init(&s.pool)
 	}
 	return s
 }
@@ -201,11 +256,12 @@ func (s *Scheduler) Pending() int {
 	return s.cq.live + s.stagedLive
 }
 
-// At schedules fn at absolute time t. Scheduling in the past panics: it
-// always indicates a model bug and silently clamping would hide it.
+// At schedules fn at absolute time t and returns its handle. Scheduling in
+// the past panics: it always indicates a model bug and silently clamping
+// would hide it.
 //
 //finepack:hotpath every simulated action schedules through At
-func (s *Scheduler) At(t Time, fn func()) *Event {
+func (s *Scheduler) At(t Time, fn func()) Handle {
 	if t < s.now {
 		panic(fmt.Sprintf("des: scheduling at %v before now %v", t, s.now))
 	}
@@ -216,30 +272,31 @@ func (s *Scheduler) At(t Time, fn func()) *Event {
 	} else {
 		s.cq.push(e)
 	}
-	return e
+	return Handle{e: e, seq: e.seq}
 }
 
 // After schedules fn delay picoseconds from now.
-func (s *Scheduler) After(delay Time, fn func()) *Event {
+func (s *Scheduler) After(delay Time, fn func()) Handle {
 	return s.At(s.now+delay, fn)
 }
 
-// Cancel removes a pending event. Cancelling an already-fired or
-// already-cancelled event is a no-op. The calendar queue cancels lazily
-// (the event becomes a tombstone skipped at pop time); either way the
-// callback is released immediately so a cancelled event never pins its
-// captures. A staged cohort sibling — popped in the same same-timestamp
-// batch but not yet fired — is cancelled too: batch popping must not make
-// cancellation able to miss.
-func (s *Scheduler) Cancel(e *Event) {
+// Cancel removes a pending event. Cancelling an already-fired,
+// already-cancelled or stale handle is a no-op. The calendar queue cancels
+// lazily (the event becomes a tombstone, recycled when it is skipped at
+// pop time); either way the callback is released immediately so a
+// cancelled event never pins its captures. A staged cohort sibling —
+// popped in the same same-timestamp batch but not yet fired — is cancelled
+// too: batch popping must not make cancellation able to miss.
+func (s *Scheduler) Cancel(h Handle) {
+	e := h.event()
 	if e == nil {
 		return
 	}
 	switch {
-	case e.idx >= 0: // queued in the heap
+	case e.idx >= 0: // queued in the heap: removed, so recycled now
 		s.hq.remove(e.idx)
 		e.idx = idxCancelled
-		e.Fn = nil
+		s.pool.put(e)
 	case e.idx == idxQueued: // queued in the calendar: tombstone
 		e.idx = idxCancelled
 		e.Fn = nil
@@ -327,6 +384,7 @@ func (s *Scheduler) run(deadline Time, budget uint64) (Time, error) {
 			e := s.cohort[s.cohortPos]
 			if e.idx != idxStaged { // cancelled while staged
 				s.cohortPos++
+				s.pool.put(e)
 				continue
 			}
 			next = e
@@ -359,10 +417,10 @@ func (s *Scheduler) run(deadline Time, budget uint64) (Time, error) {
 			s.probe.EventFired(next.At)
 		}
 		fn := next.Fn
-		// Drop the callback before running it: the event lives on in its
-		// slab until the whole block is garbage, and holding the closure
-		// would pin everything it captures for that long too.
-		next.Fn = nil
+		// Recycle the event before running its callback: put drops the
+		// callback, and a callback that schedules its successor (the
+		// common case) reuses this very slot.
+		s.pool.put(next)
 		fn()
 	}
 	if s.now > s.maxT {

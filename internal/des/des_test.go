@@ -82,15 +82,15 @@ func TestCancel(t *testing.T) {
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	// Double-cancel and nil-cancel are no-ops.
+	// Double-cancel and zero-handle cancel are no-ops.
 	s.Cancel(e)
-	s.Cancel(nil)
+	s.Cancel(Handle{})
 }
 
 func TestCancelMiddleOfHeap(t *testing.T) {
 	s := NewScheduler()
 	var order []int
-	events := make([]*Event, 0, 10)
+	events := make([]Handle, 0, 10)
 	for i := 0; i < 10; i++ {
 		i := i
 		events = append(events, s.At(Time(i*10), func() { order = append(order, i) }))
@@ -370,5 +370,81 @@ func TestRunBudgetResetsPerCall(t *testing.T) {
 	}
 	if _, err := s.RunBudget(60); err != nil {
 		t.Fatalf("second call inherited the first call's spend: %v", err)
+	}
+}
+
+// TestServerQueueCompactsUnderBacklog keeps a steady backlog that never
+// drains: every completion enqueues one more request (via a zero-delay
+// event, as every production caller reaches Request) behind two still
+// waiting. The wait queue must stay bounded (compacted, not grown by every
+// request of the busy period) and completions must stay in FIFO order.
+func TestServerQueueCompactsUnderBacklog(t *testing.T) {
+	s := NewScheduler()
+	srv := NewServer(s)
+	const total = 10_000
+	var got []int
+	next := 0
+	var issue func()
+	issue = func() {
+		id := next
+		next++
+		srv.Request(Nanosecond, func() {
+			got = append(got, id)
+			if next < total {
+				s.After(0, issue)
+			}
+		})
+	}
+	for i := 0; i < 4; i++ {
+		issue()
+	}
+	s.Run()
+	if len(got) != total {
+		t.Fatalf("served %d requests, want %d", len(got), total)
+	}
+	for i, id := range got {
+		if id != i {
+			t.Fatalf("completion %d is request %d: FIFO order broken", i, id)
+		}
+	}
+	if c := cap(srv.queue); c > 16 {
+		t.Fatalf("wait queue capacity %d under a backlog of 3, want ≤ 16", c)
+	}
+}
+
+// TestTokenPoolWaitersCompactUnderBacklog is the same steady backlog for
+// the credit pool: one credit, three acquirers always waiting.
+func TestTokenPoolWaitersCompactUnderBacklog(t *testing.T) {
+	s := NewScheduler()
+	p := NewTokenPool(s, 1)
+	const total = 10_000
+	var got []int
+	next := 0
+	var acquire func()
+	acquire = func() {
+		id := next
+		next++
+		p.Acquire(1, func() {
+			got = append(got, id)
+			if next < total {
+				acquire()
+			}
+			s.After(Nanosecond, func() { p.Release(1) })
+		})
+	}
+	for i := 0; i < 4; i++ {
+		acquire()
+	}
+	s.Run()
+	if len(got) != total {
+		t.Fatalf("granted %d acquires, want %d", len(got), total)
+	}
+	for i, id := range got {
+		if id != i {
+			t.Fatalf("grant %d is acquire %d: FIFO order broken", i, id)
+		}
+	}
+	if c := cap(p.waiters); c > 16 {
+		t.Fatalf("waiter capacity %d under a backlog of 3, want ≤ 16", c)
 	}
 }

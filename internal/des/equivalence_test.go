@@ -48,7 +48,7 @@ func oracleScript(useHeap bool, seed int64) []fireRec {
 	rng := rand.New(rand.NewSource(seed))
 	s := newSchedulerWith(useHeap)
 	var trace []fireRec
-	var created []*Event
+	var created []Handle
 	nextID := 0
 
 	randDelay := func() Time {
@@ -184,6 +184,51 @@ func TestCancelTwiceReleasesOnce(t *testing.T) {
 	})
 }
 
+// TestCancelStaleHandleIsNoOp pins the event-recycling contract: a fired
+// event's slot returns to the pool and the next At reuses it, so the old
+// handle now shares its pointer with a live event. Cancelling the stale
+// handle must not reach the new occupant, and Pending must stay exact. The
+// same holds for a cancelled event once its slot is recycled.
+func TestCancelStaleHandleIsNoOp(t *testing.T) {
+	forBothQueues(t, func(t *testing.T, mk func() *Scheduler) {
+		s := mk()
+		n := 0
+		old := s.At(10, func() { n++ })
+		s.At(40, func() { n++ })
+		s.RunUntil(15)
+		reused := s.At(20, func() { n += 10 })
+		if reused.e != old.e {
+			t.Fatal("the next At did not reuse the fired event's slot")
+		}
+		s.Cancel(old)
+		if old.Cancelled() || reused.Cancelled() {
+			t.Fatal("cancelling a stale handle marked an event cancelled")
+		}
+		if p := s.Pending(); p != 2 {
+			t.Fatalf("Pending = %d after cancelling a stale handle, want 2", p)
+		}
+
+		// A cancelled event is recycled once the queue drops it (at once
+		// for the heap, when the calendar's scan passes its tombstone).
+		s.RunUntil(25)
+		gone := s.At(30, func() { n += 100 })
+		s.Cancel(gone)
+		s.RunUntil(35)
+		again := s.At(50, func() { n += 1000 })
+		if again.e != gone.e {
+			t.Fatal("the next At did not reuse the cancelled event's slot")
+		}
+		s.Cancel(gone)
+		if p := s.Pending(); p != 2 {
+			t.Fatalf("Pending = %d after cancelling a recycled tombstone's handle, want 2", p)
+		}
+		s.Run()
+		if n != 1012 {
+			t.Fatalf("n = %d, want 1012 (10, 20, 40 and 50 fire; 30 stays cancelled)", n)
+		}
+	})
+}
+
 // TestCancelStagedSiblingInCohort pins the sharpest edge of batch cohort
 // firing: an event's callback cancels a same-timestamp sibling that has
 // already been popped out of the queue into the staged cohort. The sibling
@@ -193,7 +238,7 @@ func TestCancelStagedSiblingInCohort(t *testing.T) {
 	forBothQueues(t, func(t *testing.T, mk func() *Scheduler) {
 		s := mk()
 		var order []string
-		events := map[string]*Event{}
+		events := map[string]Handle{}
 		events["a"] = s.At(5, func() {
 			order = append(order, "a")
 			s.Cancel(events["c"]) // staged sibling, not yet fired

@@ -21,8 +21,9 @@ import "math/bits"
 //     cursor approaches — the scan never advances past an overflow event,
 //     so bucket order and overflow order merge exactly.
 //   - Cancellation is lazy: a cancelled event becomes a tombstone dropped
-//     when its bucket position is reached (the heap's eager Remove is the
-//     behavior being replaced; both agree on every observable).
+//     (and recycled to the scheduler's event pool) when its bucket
+//     position is reached (the heap's eager Remove is the behavior being
+//     replaced; both agree on every observable).
 //   - The ring resizes lazily as event density shifts: it doubles when
 //     live events exceed calGrowFactor× the bucket count and halves when
 //     they fall below a quarter of it, rebuilding in O(live).
@@ -33,6 +34,7 @@ type calendarQueue struct {
 	curW     uint64 // scan cursor: absolute window number (At >> calWidthLog)
 	live     int    // queued non-tombstoned events (buckets + overflow)
 	overflow overflowHeap
+	pool     *eventPool // the owning scheduler's; receives dropped tombstones
 }
 
 const (
@@ -53,13 +55,14 @@ const (
 )
 
 // calBucket holds one window's events sorted by (At, seq); entries before
-// head are consumed (and nil'd so they never pin event slabs).
+// head are consumed (and nil'd: a consumed event may already be recycled).
 type calBucket struct {
 	head int
 	ev   []*Event
 }
 
-func (q *calendarQueue) init() {
+func (q *calendarQueue) init(pool *eventPool) {
+	q.pool = pool
 	q.buckets = make([]calBucket, calMinBuckets)
 	q.mask = calMinBuckets - 1
 	q.bitmap = make([]uint64, calMinBuckets/64)
@@ -130,6 +133,7 @@ func (q *calendarQueue) popCohort(dst []*Event) []*Event {
 		b.ev[b.head] = nil
 		b.head++
 		if c.idx == idxCancelled {
+			q.pool.put(c)
 			continue
 		}
 		c.idx = idxStaged
@@ -184,6 +188,7 @@ func (q *calendarQueue) scan() *Event {
 			if e.idx == idxCancelled {
 				b.ev[b.head] = nil
 				b.head++
+				q.pool.put(e)
 				continue
 			}
 			return e
@@ -217,7 +222,7 @@ func (q *calendarQueue) migrateWindow() {
 	}
 }
 
-// overflowHead returns the earliest live overflow event, discarding
+// overflowHead returns the earliest live overflow event, recycling
 // tombstones at the heap root.
 func (q *calendarQueue) overflowHead() *Event {
 	for {
@@ -225,7 +230,7 @@ func (q *calendarQueue) overflowHead() *Event {
 		if e == nil || e.idx != idxCancelled {
 			return e
 		}
-		q.overflow.pop()
+		q.pool.put(q.overflow.pop())
 	}
 }
 
@@ -286,7 +291,7 @@ func (q *calendarQueue) resetBucket(idx uint64) {
 }
 
 // resize rebuilds the ring with n buckets, redistributing live events and
-// permanently dropping tombstones; overflow events that now fit the wider
+// recycling bucket tombstones; overflow events that now fit the wider
 // horizon migrate in, and events beyond a narrower one migrate out.
 func (q *calendarQueue) resize(n int) {
 	old := q.buckets
@@ -298,7 +303,11 @@ func (q *calendarQueue) resize(n int) {
 		for j := b.head; j < len(b.ev); j++ {
 			e := b.ev[j]
 			b.ev[j] = nil
-			if e == nil || e.idx != idxQueued {
+			if e == nil {
+				continue
+			}
+			if e.idx == idxCancelled {
+				q.pool.put(e)
 				continue
 			}
 			w := uint64(e.At) >> calWidthLog

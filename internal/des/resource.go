@@ -7,7 +7,8 @@ package des
 //
 // The completion path is allocation-lean: one pre-bound finish closure is
 // created per Server (not per request), and the wait queue is a
-// head-compacted slice whose capacity is reused instead of slid away.
+// head-compacted slice whose capacity is reused instead of slid away (see
+// compact).
 type Server struct {
 	sched   *Scheduler
 	busy    bool
@@ -38,10 +39,7 @@ func NewServer(sched *Scheduler) *Server {
 // Request enqueues a job needing the given service time; done (may be nil)
 // fires at completion. Jobs are served in arrival order.
 func (s *Server) Request(service Time, done func()) {
-	if s.qhead == len(s.queue) {
-		s.queue = s.queue[:0]
-		s.qhead = 0
-	}
+	s.queue, s.qhead = compact(s.queue, s.qhead)
 	s.queue = append(s.queue, serverReq{service: service, done: done})
 	if !s.busy {
 		s.startNext()
@@ -128,10 +126,7 @@ func (p *TokenPool) Acquire(n int, cont func()) {
 		p.sched.After(0, cont)
 		return
 	}
-	if p.whead == len(p.waiters) {
-		p.waiters = p.waiters[:0]
-		p.whead = 0
-	}
+	p.waiters, p.whead = compact(p.waiters, p.whead)
 	p.waiters = append(p.waiters, tokenWait{n: n, cont: cont})
 	if w := len(p.waiters) - p.whead; w > p.MaxWaiters {
 		p.MaxWaiters = w
@@ -163,4 +158,20 @@ func (p *TokenPool) dispatch() {
 		p.waiters = p.waiters[:0]
 		p.whead = 0
 	}
+}
+
+// compact drops a FIFO slice's consumed prefix q[:head] once it covers at
+// least half the slice, returning the slice and its new head. Resetting
+// only when fully drained let a queue under a sustained backlog (one that
+// never empties during a busy period) grow by every request of the period;
+// compacting at half keeps its length within twice the backlog, at an
+// amortized O(1) copy per request. Order is untouched, and the vacated
+// tail is zeroed so it pins no callbacks.
+func compact[T any](q []T, head int) ([]T, int) {
+	if head == 0 || 2*head < len(q) {
+		return q, head
+	}
+	n := copy(q, q[head:])
+	clear(q[n:])
+	return q[:n], 0
 }

@@ -45,8 +45,11 @@ type sender struct {
 	obs *obs.Recorder
 	// ingest consumes a delivered packet at the destination and calls
 	// its completion callback once the disaggregated stores have drained
-	// into the local memory system. Nil skips ingress modeling.
+	// into the local memory system; it also returns the packet to the
+	// run's pool. Nil skips ingress modeling.
 	ingest func(*core.Packet, func())
+	// pool is the run's packet pool, shared by every GPU's engines.
+	pool *core.PacketPool
 	// completeFn caches the complete method value so the per-packet
 	// delivery path never re-binds it; free recycles delivery callbacks
 	// (see sendOp).
@@ -151,7 +154,7 @@ type p2pEgress struct {
 }
 
 func (e *p2pEgress) store(st core.Store) error {
-	pkt, err := core.NewStorePacket(e.cfg, st)
+	pkt, err := e.s.pool.NewStorePacket(e.cfg, st)
 	if err != nil {
 		return err
 	}
@@ -178,7 +181,7 @@ type fpEgress struct {
 	q       *core.Queue
 	s       *sender
 	timeout des.Time
-	timer   *des.Event
+	timer   des.Handle
 	onIdle  func() // timeout-flush callback, bound once (re-armed per store)
 }
 
@@ -187,8 +190,12 @@ func newFPEgress(cfg core.Config, timeout des.Time, s *sender) (*fpEgress, error
 	if err != nil {
 		return nil, err
 	}
+	q.UsePacketPool(s.pool)
 	e := &fpEgress{q: q, s: s, timeout: timeout}
-	e.onIdle = func() { e.q.FlushAll(core.CauseTimeout) }
+	e.onIdle = func() {
+		e.timer = des.Handle{} // fired: the scheduler recycles the event
+		e.q.FlushAll(core.CauseTimeout)
+	}
 	return e, nil
 }
 
@@ -246,7 +253,7 @@ func (e *wcEgress) store(st core.Store) error { return e.wc.Write(st) }
 // atomic bypasses the combining buffer: write combining does not merge
 // atomics either; they egress as individual plain writes.
 func (e *wcEgress) atomic(st core.Store) error {
-	pkt, err := core.NewStorePacket(e.cfg, st)
+	pkt, err := e.s.pool.NewStorePacket(e.cfg, st)
 	if err != nil {
 		return err
 	}
@@ -382,7 +389,7 @@ func (e *gpsEgress) store(st core.Store) error { return e.g.Write(st) }
 // atomic bypasses combining and subscription: atomics must reach the
 // destination.
 func (e *gpsEgress) atomic(st core.Store) error {
-	pkt, err := core.NewStorePacket(e.cfg, st)
+	pkt, err := e.s.pool.NewStorePacket(e.cfg, st)
 	if err != nil {
 		return err
 	}

@@ -229,9 +229,12 @@ type runner struct {
 	checkErr error
 
 	// Destination de-packetizer buffers (store paradigms, non-UM) and the
-	// recycled per-packet ingest pipelines feeding them.
+	// recycled per-packet ingest pipelines feeding them. packets is the
+	// run's packet pool: engines draw from it, and ingest returns each
+	// packet once its last store has drained.
 	ingress []*memsystem.IngressBuffer
 	ifree   []*ingestOp
+	packets core.PacketPool
 
 	finished bool
 	endTime  des.Time
@@ -277,7 +280,7 @@ func (r *runner) setup() error {
 	}
 	r.ingress = ingress
 	for g := 0; g < r.meta.NumGPUs; g++ {
-		s := &sender{sched: r.sched, net: r.net, src: g, obs: r.obsRec}
+		s := &sender{sched: r.sched, net: r.net, src: g, obs: r.obsRec, pool: &r.packets}
 		if ingress != nil {
 			s.ingest = r.ingest
 		}
@@ -311,9 +314,13 @@ func (r *runner) setup() error {
 // closure per disaggregated store, which dominated end-to-end allocation
 // profiles. Completion is positional — the ingress buffer's slot pool and
 // drain server are both strictly FIFO, so one packet's stores drain in
-// acceptance order even when packets interleave on the buffer.
+// acceptance order even when packets interleave on the buffer. The stores
+// alias the packet's payload, so the packet returns to the run's pool only
+// after the last of them has drained (IngressBuffer.Accept and
+// Memory.Write keep no store data).
 type ingestOp struct {
 	r         *runner
+	p         *core.Packet
 	stores    []core.Store
 	pos       int
 	remaining int
@@ -341,9 +348,11 @@ func (r *runner) getIngestOp() *ingestOp {
 		if op.remaining == 0 {
 			done := op.done
 			op.done = nil
-			clear(op.stores) // don't pin packet payloads via the scratch
+			clear(op.stores) // the stores alias the packet's payload
 			op.stores = op.stores[:0]
 			op.pos = 0
+			rr.packets.Put(op.p)
+			op.p = nil
 			rr.ifree = append(rr.ifree, op)
 			done()
 		}
@@ -360,11 +369,12 @@ func (r *runner) ingest(p *core.Packet, done func()) {
 	op := r.getIngestOp()
 	op.stores = core.DepacketizeAppend(op.stores[:0], p)
 	if len(op.stores) == 0 {
-		op.stores = op.stores[:0]
+		r.packets.Put(p)
 		r.ifree = append(r.ifree, op)
 		r.sched.After(0, done)
 		return
 	}
+	op.p = p
 	op.pos = 0
 	op.remaining = len(op.stores)
 	op.done = done
