@@ -2,6 +2,7 @@ package des
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -254,6 +255,41 @@ func TestServerIdleGap(t *testing.T) {
 	if u := srv.Utilization(); u <= 0.17 || u >= 0.19 {
 		t.Fatalf("Utilization = %v, want ~20/110", u)
 	}
+}
+
+// TestServerReentrantRequestFromCompletion: a completion callback that
+// calls Request while other jobs wait starts the next job itself, so the
+// finishing path must not start another on top of it. Every done fires
+// once, in FIFO order, at back-to-back service times.
+func TestServerReentrantRequestFromCompletion(t *testing.T) {
+	forBothQueues(t, func(t *testing.T, mk func() *Scheduler) {
+		s := mk()
+		srv := NewServer(s)
+		var got []int
+		var at []Time
+		rec := func(id int) func() {
+			return func() {
+				got = append(got, id)
+				at = append(at, s.Now())
+			}
+		}
+		srv.Request(10, func() {
+			rec(1)()
+			srv.Request(10, rec(4))
+		})
+		srv.Request(10, rec(2))
+		srv.Request(10, rec(3))
+		end := s.Run()
+		if !reflect.DeepEqual(got, []int{1, 2, 3, 4}) {
+			t.Fatalf("completions = %v, want [1 2 3 4] (each once, FIFO)", got)
+		}
+		if !reflect.DeepEqual(at, []Time{10, 20, 30, 40}) {
+			t.Fatalf("completion times = %v, want [10 20 30 40]", at)
+		}
+		if end != 40 || srv.Served != 4 || srv.Busy != 40 {
+			t.Fatalf("end=%v Served=%d Busy=%v, want 40, 4, 40", end, srv.Served, srv.Busy)
+		}
+	})
 }
 
 func TestTokenPoolBlocksUntilRelease(t *testing.T) {

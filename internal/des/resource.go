@@ -81,7 +81,8 @@ func (s *Server) startNext() {
 
 // finishService completes the in-service request: identical sequencing to
 // the per-request closure it replaced (busy cleared before the callback,
-// so a re-entrant Request starts service immediately).
+// so a re-entrant Request starts service immediately — and then the
+// server is busy again and must not start a second job here).
 func (s *Server) finishService() {
 	s.busy = false
 	s.Served++
@@ -90,7 +91,9 @@ func (s *Server) finishService() {
 	if done != nil {
 		done()
 	}
-	s.startNext()
+	if !s.busy {
+		s.startNext()
+	}
 }
 
 // TokenPool is a counting-semaphore resource used for credit-based flow

@@ -15,7 +15,8 @@ import (
 // fabricGolden pins one multi-switch run of the flat PCIe fabric: the
 // 8-GPU (two leaf switches) and 16-GPU (four leaf switches) systems, where
 // cross-switch messages share a trunk, with and without link faults so
-// both the ideal and the reliable send paths are covered byte for byte.
+// sends with and without the reliable protocol's stages are covered
+// byte for byte.
 type fabricGolden struct {
 	Workload          string            `json:"workload"`
 	GPUs              int               `json:"gpus"`

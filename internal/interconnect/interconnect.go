@@ -100,13 +100,14 @@ type Network struct {
 	perLink []core.Bytes
 
 	// Reliability state, populated only when cfg.Faults is enabled
-	// (see replay.go). fi == nil selects the ideal, error-free path.
+	// (see replay.go). fi == nil skips every fault-path stage.
 	fi            *faults.Injector
 	replaySlots   []*des.TokenPool // per-egress replay-buffer slots
 	inFlight      int              // packets accepted but not yet delivered
 	deliveries    uint64           // watchdog progress counter
 	lastProgress  uint64
 	watchdogArmed bool
+	watchdogFn    func() // watchdogTick, bound once
 
 	// Replays counts retransmissions (one per Nak'd attempt),
 	// ReplayedBytes the wire bytes those retransmissions re-serialized,
@@ -115,7 +116,7 @@ type Network struct {
 	Replays         uint64
 	ReplayedBytes   core.Bytes
 	RecoveredStalls uint64
-	linkErrors      map[string]uint64
+	linkErrors      []uint64 // Nak'd attempts per endpoint pair, indexed like perLink
 	resets          []Reset
 
 	// obs, when non-nil, receives delivery/replay/reset events
@@ -157,7 +158,8 @@ func New(sched *des.Scheduler, cfg Config) (*Network, error) {
 		}
 		n.fi = fi
 		n.cfg.Faults = fi.Config() // protocol knobs with defaults applied
-		n.linkErrors = make(map[string]uint64)
+		n.linkErrors = make([]uint64, cfg.NumGPUs*cfg.NumGPUs)
+		n.watchdogFn = n.watchdogTick
 		for i := 0; i < cfg.NumGPUs; i++ {
 			n.replaySlots = append(n.replaySlots,
 				des.NewTokenPool(sched, n.cfg.Faults.ReplayBufferDepth))
@@ -196,7 +198,9 @@ func (n *Network) Config() Config { return n.cfg }
 // Send transmits wireBytes from src to dst; done (may be nil) fires when
 // the last byte arrives at the destination port. The message holds
 // credits of the destination's receiver buffer end to end and
-// store-and-forwards along its route, serializing on every hop.
+// store-and-forwards along its route, serializing on every hop (hop.go).
+// On a fault-injected fabric it also holds a replay-buffer slot until
+// its Ack and retransmits after every Nak (replay.go).
 //
 //finepack:hotpath per-packet transfer pipeline entry
 func (n *Network) Send(src, dst int, wireBytes int, done func()) {
@@ -210,25 +214,20 @@ func (n *Network) Send(src, dst int, wireBytes int, done func()) {
 	n.BytesSent += core.Bytes(wireBytes)
 	n.perLink[src*n.cfg.NumGPUs+dst] += core.Bytes(wireBytes)
 
-	credits := core.Credits((wireBytes + creditUnit - 1) / creditUnit)
-	// A message larger than the whole receiver buffer streams through it
-	// chunk by chunk; it can never hold more credits than exist.
-	if maxCredits := core.Credits(n.cfg.CreditBytes / creditUnit); credits > maxCredits {
-		credits = maxCredits
-	}
-	if n.fi != nil {
-		n.sendReliable(src, dst, wireBytes, credits, done)
-		return
-	}
 	x := n.getHopXfer()
-	x.route = n.graph.Route(src, dst)
+	x.src, x.dst = int32(src), int32(dst)
 	x.hop = 0
-	x.src, x.dst = src, dst
 	x.wireBytes = wireBytes
-	x.dstCredits = credits
 	x.start = n.sched.Now()
 	x.done = done
-	n.credits[dst].Acquire(int(credits), x.acquireEdge)
+	x.stage = stageHop
+	if n.fi != nil {
+		x.try = 0
+		x.stage = stageSlot
+		n.inFlight++
+		n.armWatchdog()
+	}
+	n.credits[dst].Acquire(creditsFor(wireBytes, n.cfg.CreditBytes), x.step)
 }
 
 // LinkBytes returns bytes sent on the src→dst endpoint pair.
@@ -237,9 +236,4 @@ func (n *Network) LinkBytes(src, dst int) core.Bytes {
 		return 0
 	}
 	return n.perLink[src*n.cfg.NumGPUs+dst]
-}
-
-//finepack:allow hotalloc -- link-error accounting runs only on the fault-injection path, off the headline benchmarks
-func linkName(src, dst int) string {
-	return fmt.Sprintf("%d->%d", src, dst)
 }

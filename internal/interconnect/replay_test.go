@@ -182,10 +182,6 @@ func TestWatchdogRecoversDeadLink(t *testing.T) {
 	if got, want := doneAt-t0, 2*200*des.Nanosecond; got != want {
 		t.Fatalf("post-retrain transfer took %v, want %v (degraded to half width)", got, want)
 	}
-	report := n.FaultReport()
-	if report.RecoveredStalls != 1 || report.Replays == 0 || len(report.Resets) != 1 {
-		t.Fatalf("fault report incomplete: %s", report)
-	}
 }
 
 func TestDegradationStretchesSerialization(t *testing.T) {

@@ -180,29 +180,87 @@ func TestTopoDeliveryOrderDeterminism(t *testing.T) {
 	}
 }
 
-// TestTopoSteadyStateAllocationFree pins the hot-path contract: after
-// warmup, multi-hop sends allocate nothing per message. Warmup must be
-// generous: beyond the xfer freelist and event slab, the calendar queue's
-// bucket slices grow as events land in fresh absolute-time windows (each
-// round advances the clock into windows never touched before), and only
-// stop once bucket capacities cover the steady traffic pattern. The small
-// epsilon mirrors alloc_guard_test.go: the event slab carves one
-// allocation per 256 events, which is amortized but not zero.
-func TestTopoSteadyStateAllocationFree(t *testing.T) {
-	g := twinGraph(t, 0)
-	sched, n := newNet(t, topoConfig(g))
+// steadyStateAllocs measures the allocations of one steady round of
+// three multi-hop sends on the twin graph under cfg's fault model. The
+// warmup fills the hop-record and event freelists and grows the calendar
+// queue's bucket slices, which keep growing while rounds land in fresh
+// absolute-time windows until their capacities cover the traffic.
+func steadyStateAllocs(t *testing.T, fc faults.Config) float64 {
+	cfg := topoConfig(twinGraph(t, 0))
+	cfg.Faults = fc
+	sched, n := newNet(t, cfg)
 	send := func() {
 		n.Send(0, 2, 256, nil)
 		n.Send(1, 3, 256, nil)
 		n.Send(2, 1, 256, nil)
 		sched.Run()
 	}
-	for i := 0; i < 256; i++ { // warmup: freelists, event slab, calendar buckets
+	for i := 0; i < 256; i++ {
 		send()
 	}
-	allocs := testing.AllocsPerRun(100, send)
-	if allocs > 0.05 {
+	return testing.AllocsPerRun(100, send)
+}
+
+// TestTopoSteadyStateAllocationFree pins the hot-path contract: after
+// warmup, multi-hop sends allocate nothing per message.
+func TestTopoSteadyStateAllocationFree(t *testing.T) {
+	if allocs := steadyStateAllocs(t, faults.Config{}); allocs > 0.05 {
 		t.Fatalf("steady-state multi-hop send allocates %v per round, want ~0", allocs)
+	}
+}
+
+// TestTopoFaultedSteadyStateAllocationFree: fault-injected sends ride the
+// same pooled hop records, and replays, the watchdog and link-error
+// accounting allocate nothing per message either.
+func TestTopoFaultedSteadyStateAllocationFree(t *testing.T) {
+	if allocs := steadyStateAllocs(t, faults.Config{BER: 1e-5, Seed: 7}); allocs > 0.05 {
+		t.Fatalf("steady-state fault-injected multi-hop send allocates %v per round, want ~0", allocs)
+	}
+}
+
+// spanLog records every hop's arrival time per edge.
+type spanLog struct{ ends map[int][]des.Time }
+
+func (l *spanLog) MessageDelivered(src, dst, wireBytes int, start, end des.Time) {}
+func (l *spanLog) ReplayScheduled(src, dst, wireBytes, try int, at des.Time)     {}
+func (l *spanLog) LinkReset(at des.Time, links int)                              {}
+func (l *spanLog) HopForwarded(edge, src, dst, wireBytes int, start, end des.Time) {
+	l.ends[edge] = append(l.ends[edge], end)
+}
+
+// TestFaultPathHonoursEdgeWindows: two 256B messages cross an edge whose
+// credit window holds one of them, so the second may only serialize once
+// the first has arrived at the far end (8ns serialization + 100ns
+// latency) and released the window — on a fault-injected fabric exactly
+// as on an ideal one. The injected fault model is a full-width
+// "degradation": it selects the reliable protocol without drawing any
+// corruption or stretching any serialization.
+func TestFaultPathHonoursEdgeWindows(t *testing.T) {
+	class := topo.LinkClass{Bandwidth: 32e9, Latency: 100_000, CreditBytes: 256}
+	g, err := topo.Build(topo.Hierarchical("win2x2", 2, 2, class, class))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fc := range []faults.Config{{}, {
+		Degradations: []faults.Degradation{{Link: faults.AllLinks, BandwidthFraction: 1}},
+	}} {
+		cfg := topoConfig(g)
+		cfg.Faults = fc
+		sched, n := newNet(t, cfg)
+		log := &spanLog{ends: map[int][]des.Time{}}
+		n.SetObserver(log)
+		n.Send(0, 1, 256, nil)
+		n.Send(0, 1, 256, nil)
+		sched.Run()
+		ends := log.ends[int(g.Route(0, 1)[0])]
+		want := []des.Time{108 * des.Nanosecond, 216 * des.Nanosecond}
+		if !reflect.DeepEqual(ends, want) {
+			t.Fatalf("faults enabled=%v: first-hop arrivals %v, want %v (the window admits one message at a time)",
+				fc.Enabled(), ends, want)
+		}
+		if n.Replays != 0 {
+			t.Fatalf("full-width degradation drew %d replays", n.Replays)
+		}
 	}
 }
 

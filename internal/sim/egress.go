@@ -48,8 +48,10 @@ type sender struct {
 	// into the local memory system; it also returns the packet to the
 	// run's pool. Nil skips ingress modeling.
 	ingest func(*core.Packet, func())
-	// pool is the run's packet pool, shared by every GPU's engines.
+	// pool is the run's packet pool, shared by every GPU's engines;
+	// cfg is the packet format plain stores are built with.
 	pool *core.PacketPool
+	cfg  core.Config
 	// completeFn caches the complete method value so the per-packet
 	// delivery path never re-binds it; free recycles delivery callbacks
 	// (see sendOp).
@@ -112,6 +114,17 @@ func (s *sender) send(p *core.Packet) {
 	s.net.Send(s.src, p.Dst, p.WireBytes, op.fire)
 }
 
+// sendStore emits one store as its own plain write TLP: every P2P store,
+// and the atomics the combining engines pass straight through.
+func (s *sender) sendStore(st core.Store) error {
+	pkt, err := s.pool.NewStorePacket(s.cfg, st)
+	if err != nil {
+		return err
+	}
+	s.send(pkt)
+	return nil
+}
+
 // transmit moves raw wire bytes toward dst under the outstanding/drain
 // bookkeeping, bypassing packet ingestion; arrived (may be nil) fires on
 // delivery.
@@ -148,18 +161,15 @@ func (s *sender) drain(done func()) {
 // p2pEgress sends every store as its own plain PCIe write TLP: today's
 // peer-to-peer store path (Fig 1, no coalescing beyond L1).
 type p2pEgress struct {
-	cfg      core.Config
 	s        *sender
 	bytesOut core.Bytes
 }
 
 func (e *p2pEgress) store(st core.Store) error {
-	pkt, err := e.s.pool.NewStorePacket(e.cfg, st)
-	if err != nil {
+	if err := e.s.sendStore(st); err != nil {
 		return err
 	}
 	e.bytesOut += core.Bytes(st.Size)
-	e.s.send(pkt)
 	return nil
 }
 
@@ -235,9 +245,8 @@ func (e *fpEgress) pendingStores() int { return e.q.PendingStoresTotal() }
 
 // wcEgress is the write-combining-alone ablation.
 type wcEgress struct {
-	cfg core.Config
-	wc  *baseline.WriteCombiner
-	s   *sender
+	wc *baseline.WriteCombiner
+	s  *sender
 }
 
 func newWCEgress(cfg core.Config, s *sender) (*wcEgress, error) {
@@ -245,21 +254,14 @@ func newWCEgress(cfg core.Config, s *sender) (*wcEgress, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &wcEgress{cfg: cfg, wc: wc, s: s}, nil
+	return &wcEgress{wc: wc, s: s}, nil
 }
 
 func (e *wcEgress) store(st core.Store) error { return e.wc.Write(st) }
 
 // atomic bypasses the combining buffer: write combining does not merge
 // atomics either; they egress as individual plain writes.
-func (e *wcEgress) atomic(st core.Store) error {
-	pkt, err := e.s.pool.NewStorePacket(e.cfg, st)
-	if err != nil {
-		return err
-	}
-	e.s.send(pkt)
-	return nil
-}
+func (e *wcEgress) atomic(st core.Store) error { return e.s.sendStore(st) }
 
 func (e *wcEgress) flush(done func()) {
 	e.wc.FlushAll()
@@ -371,9 +373,8 @@ func (e *umEgress) pendingStores() int {
 // gpsEgress is the GPS-like comparator: write combining plus subscription
 // elision.
 type gpsEgress struct {
-	cfg core.Config
-	g   *baseline.GPS
-	s   *sender
+	g *baseline.GPS
+	s *sender
 }
 
 func newGPSEgress(cfg core.Config, consumedFraction float64, s *sender) (*gpsEgress, error) {
@@ -381,21 +382,14 @@ func newGPSEgress(cfg core.Config, consumedFraction float64, s *sender) (*gpsEgr
 	if err != nil {
 		return nil, err
 	}
-	return &gpsEgress{cfg: cfg, g: g, s: s}, nil
+	return &gpsEgress{g: g, s: s}, nil
 }
 
 func (e *gpsEgress) store(st core.Store) error { return e.g.Write(st) }
 
 // atomic bypasses combining and subscription: atomics must reach the
 // destination.
-func (e *gpsEgress) atomic(st core.Store) error {
-	pkt, err := e.s.pool.NewStorePacket(e.cfg, st)
-	if err != nil {
-		return err
-	}
-	e.s.send(pkt)
-	return nil
-}
+func (e *gpsEgress) atomic(st core.Store) error { return e.s.sendStore(st) }
 
 func (e *gpsEgress) flush(done func()) {
 	e.g.FlushAll()

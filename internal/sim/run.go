@@ -280,7 +280,7 @@ func (r *runner) setup() error {
 	}
 	r.ingress = ingress
 	for g := 0; g < r.meta.NumGPUs; g++ {
-		s := &sender{sched: r.sched, net: r.net, src: g, obs: r.obsRec, pool: &r.packets}
+		s := &sender{sched: r.sched, net: r.net, src: g, obs: r.obsRec, pool: &r.packets, cfg: r.cfg.FinePack}
 		if ingress != nil {
 			s.ingest = r.ingest
 		}
@@ -290,7 +290,7 @@ func (r *runner) setup() error {
 		)
 		switch r.par {
 		case P2P:
-			e = &p2pEgress{cfg: r.cfg.FinePack, s: s}
+			e = &p2pEgress{s: s}
 		case FinePack:
 			e, err = newFPEgress(r.cfg.FinePack, des.Time(r.cfg.FlushTimeout), s)
 		case WriteCombining:
